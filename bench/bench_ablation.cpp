@@ -7,22 +7,12 @@
 //      Gauss–Jordan inversion amortized across the four Montgomery blocks).
 //   3. Hierarchical versus flattened verification of the same Montgomery
 //      multiplier (the paper's Table 2-vs-Table 1 flow distinction).
-//   4. Polynomial representation tiering: the packed tier (PackedMono keys,
-//      open-addressed term arena) versus the frozen legacy vector tier on
-//      the same reduction chain. `--poly-repr={packed,vector}` restricts the
-//      run to one side; by default both run and the packed-over-vector
-//      speedup lands in BENCH_ablation_poly_repr.json.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstring>
 #include <string>
 
-#include "abstraction/f4_reduction.h"
 #include "abstraction/hierarchy.h"
-#include "abstraction/rato.h"
-#include "abstraction/rewriter.h"
 #include "abstraction/word_lift.h"
 #include "circuit/mastrovito.h"
 #include "circuit/montgomery.h"
@@ -94,55 +84,6 @@ void BM_EngineIndexed(benchmark::State& state) {
         gfa::extract_word_function(nl, field, options).g.num_terms());
 }
 
-void BM_EngineF4Batch(benchmark::State& state) {
-  // Level-synchronous batch reduction (the paper's F4-style tool).
-  const gfa::Gf2k field = gfa::Gf2k::make(static_cast<unsigned>(state.range(0)));
-  const gfa::Netlist nl = make_mastrovito_multiplier(field);
-  const gfa::WordLift lift(&field);
-  gfa::ExtractionOptions options;
-  options.shared_lift = &lift;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        gfa::extract_word_function_f4(nl, field, options).g.num_terms());
-}
-
-void BM_ReductionChainRepr(benchmark::State& state, gfa::PolyRepr repr) {
-  // The same RATO reduction chain under either monomial representation; the
-  // word-level endgame past the chain is identical, so the delta is the
-  // representation ablation in isolation.
-  const gfa::Gf2k field = gfa::Gf2k::make(static_cast<unsigned>(state.range(0)));
-  const gfa::Netlist nl = make_mastrovito_multiplier(field);
-  const gfa::WordLift lift(&field);
-  gfa::ExtractionOptions options;
-  options.shared_lift = &lift;
-  options.poly_repr = repr;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        gfa::extract_word_function(nl, field, options).g.num_terms());
-}
-
-/// Measures one extraction and returns (reduction-chain phase ms, wall ms).
-std::pair<double, double> measure_chain(const gfa::Netlist& nl,
-                                        const gfa::Gf2k& field,
-                                        const gfa::ExtractionOptions& options,
-                                        gfa::bench::BenchRecord& rec) {
-  gfa::obs::Tracer::instance().clear();
-  const auto t0 = std::chrono::steady_clock::now();
-  const gfa::WordFunction fn = gfa::extract_word_function(nl, field, options);
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-  rec.k = field.k();
-  rec.wall_ms = wall_ms;
-  rec.peak_terms = fn.stats.peak_terms;
-  rec.substitutions = fn.stats.substitutions;
-  rec.phases = gfa::bench::drain_phase_times();
-  double chain_ms = wall_ms;
-  for (const auto& [phase, ms] : rec.phases)
-    if (phase == "reduction_chain") chain_ms = ms;
-  return {chain_ms, wall_ms};
-}
-
 void BM_VerifyHierarchical(benchmark::State& state) {
   const gfa::Gf2k field = gfa::Gf2k::make(static_cast<unsigned>(state.range(0)));
   const gfa::MontgomeryHierarchy h = make_montgomery_hierarchy(field);
@@ -164,30 +105,16 @@ void BM_VerifyFlattened(benchmark::State& state) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --poly-repr={packed,vector} restricts the representation ablation to one
-  // tier (the CI release job runs each side in isolation); strip the flag
-  // before Google Benchmark sees argv.
-  std::string repr_filter;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--poly-repr=", 12) != 0) continue;
-    repr_filter = argv[i] + 12;
-    if (repr_filter != "packed" && repr_filter != "vector") {
-      std::fprintf(stderr, "--poly-repr must be 'packed' or 'vector', got '%s'\n",
-                   repr_filter.c_str());
-      return 2;
-    }
-    for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-    --argc;
-    --i;
-  }
-  const bool run_packed = repr_filter != "vector";
-  const bool run_vector = repr_filter != "packed";
-
-  gfa::obs::set_trace_enabled(true);
   benchmark::AddCustomContext("table", "Ablations (DESIGN.md design choices)");
   for (unsigned k : gfa::bench::ladder({8, 16, 24, 32}, 32)) {
     benchmark::RegisterBenchmark("Ablation/LiftBilinear", BM_LiftBilinearFastPath)
         ->Arg(static_cast<int>(k))->Unit(benchmark::kMillisecond)->Iterations(1);
+  }
+  // The general lift is O(k⁴) field products: a fixed list capped at k = 32,
+  // not the NIST ladder (k = 163 alone runs for more than 14 minutes).
+  const unsigned max_k = gfa::bench::max_k_from_env(32);
+  for (unsigned k : {8u, 16u, 24u, 32u}) {
+    if (k > max_k) continue;
     benchmark::RegisterBenchmark("Ablation/LiftGeneral", BM_LiftGeneralPath)
         ->Arg(static_cast<int>(k))->Unit(benchmark::kMillisecond)->Iterations(1);
   }
@@ -202,53 +129,9 @@ int main(int argc, char** argv) {
         ->Arg(static_cast<int>(k))->Unit(benchmark::kMillisecond)->Iterations(1);
     benchmark::RegisterBenchmark("Ablation/EngineIndexed", BM_EngineIndexed)
         ->Arg(static_cast<int>(k))->Unit(benchmark::kMillisecond)->Iterations(1);
-    benchmark::RegisterBenchmark("Ablation/EngineF4Batch", BM_EngineF4Batch)
-        ->Arg(static_cast<int>(k))->Unit(benchmark::kMillisecond)->Iterations(1);
-  }
-  const std::vector<unsigned> repr_sizes = gfa::bench::ladder({32, 64, 128}, 163);
-  for (unsigned k : repr_sizes) {
-    if (run_packed)
-      benchmark::RegisterBenchmark("Ablation/ChainPacked", BM_ReductionChainRepr,
-                                   gfa::PolyRepr::kPacked)
-          ->Arg(static_cast<int>(k))->Unit(benchmark::kMillisecond)->Iterations(1);
-    if (run_vector)
-      benchmark::RegisterBenchmark("Ablation/ChainVector", BM_ReductionChainRepr,
-                                   gfa::PolyRepr::kVector)
-          ->Arg(static_cast<int>(k))->Unit(benchmark::kMillisecond)->Iterations(1);
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-
-  // Representation-tiering artifact: one timed extraction per (k, repr) with
-  // the per-phase breakdown, and on each packed record the reduction-chain
-  // speedup over the vector tier measured in the same process. This is the
-  // committed evidence for the packed tier's win (bench/artifacts/).
-  gfa::bench::JsonReporter reporter("ablation_poly_repr");
-  for (unsigned k : repr_sizes) {
-    const gfa::Gf2k field = gfa::Gf2k::make(k);
-    const gfa::Netlist nl = make_mastrovito_multiplier(field);
-    const gfa::WordLift lift(&field);
-    gfa::ExtractionOptions options;
-    options.shared_lift = &lift;
-    double vector_chain_ms = 0;
-    if (run_vector) {
-      gfa::bench::BenchRecord rec;
-      rec.name = "Ablation/PolyRepr/vector";
-      options.poly_repr = gfa::PolyRepr::kVector;
-      vector_chain_ms = measure_chain(nl, field, options, rec).first;
-      reporter.add(rec);
-    }
-    if (run_packed) {
-      gfa::bench::BenchRecord rec;
-      rec.name = "Ablation/PolyRepr/packed";
-      options.poly_repr = gfa::PolyRepr::kPacked;
-      const double packed_chain_ms = measure_chain(nl, field, options, rec).first;
-      if (run_vector && packed_chain_ms > 0)
-        rec.extra = {{"chain_speedup_vs_vector", vector_chain_ms / packed_chain_ms}};
-      reporter.add(rec);
-    }
-  }
-  reporter.write();
   return 0;
 }

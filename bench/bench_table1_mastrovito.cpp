@@ -82,8 +82,7 @@ int main(int argc, char** argv) {
       "paper_reference",
       "k=163:4351s/153K gates, k=233:5777s/167K, k=283:40114s/399K, "
       "k=409:72708s/508K, k=571:TO/1.6M (24h limit, 2014 Xeon)");
-  // The sharded reduction chain promoted k=233 from opt-in to the default
-  // ladder (ROADMAP item 2); GFA_BENCH_MAX_K still trims it for CI.
+  // k=233 is on the default ladder; GFA_BENCH_MAX_K still trims it for CI.
   const std::vector<unsigned> sizes = gfa::bench::ladder({16, 32, 64, 96, 128}, 233);
   for (unsigned k : sizes) {
     benchmark::RegisterBenchmark("Table1/Mastrovito", BM_MastrovitoAbstraction)

@@ -5,20 +5,7 @@
 
 namespace gfa {
 
-LegacyBitMono bitmono_mul(const LegacyBitMono& a, const LegacyBitMono& b) {
-  LegacyBitMono out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  return out;
-}
-
-std::size_t BitRepr<LegacyBitMono>::map_bytes(const TermMap& t) {
-  return t.size() * 96;  // kRewriterTermBytes: node + monomial buffer + coeff
-}
-
-template <class M>
-typename BasicBitPoly<M>::Elem BasicBitPoly<M>::eval(
-    const std::vector<bool>& assignment) const {
+BitPoly::Elem BitPoly::eval(const std::vector<bool>& assignment) const {
   Elem sum = field_->zero();
   for (const auto& [m, c] : terms_) {
     bool all = true;
@@ -34,12 +21,10 @@ typename BasicBitPoly<M>::Elem BasicBitPoly<M>::eval(
   return sum;
 }
 
-template <class M>
-std::string BasicBitPoly<M>::to_string(const VarPool& pool) const {
+std::string BitPoly::to_string(const VarPool& pool) const {
   if (is_zero()) return "0";
-  // Deterministic rendering: sort by monomial (ids lexicographic; identical
-  // order across representations, so packed and legacy renderings match).
-  std::vector<const typename TermMap::value_type*> sorted;
+  // Deterministic rendering: sort by monomial (ids lexicographic).
+  std::vector<const TermMap::value_type*> sorted;
   sorted.reserve(terms_.size());
   for (const auto& t : terms_) sorted.push_back(&t);
   std::sort(sorted.begin(), sorted.end(), [](const auto* a, const auto* b) {
@@ -64,8 +49,5 @@ std::string BasicBitPoly<M>::to_string(const VarPool& pool) const {
   }
   return out;
 }
-
-template class BasicBitPoly<PackedMono>;
-template class BasicBitPoly<LegacyBitMono>;
 
 }  // namespace gfa

@@ -14,29 +14,14 @@
 // ordered storage (a hash map suffices) — which is what makes 100k-gate
 // multipliers abstractable.
 //
-// Representation tiering (phase-aware facade)
-// -------------------------------------------
-// The layer is templated on the monomial representation:
-//
-//   * PackedMono (the default, BitPoly): two-word inline monomials with an
-//     arena spill (packed_mono.h) keyed into a flat open-addressing term map
-//     (term_map.h). The circuit-variable phase — rewriter chain, extractor,
-//     F4 reduction, hierarchy — runs entirely on this tier.
-//   * LegacyBitMono = std::vector<VarId> in an unordered_map (LegacyBitPoly):
-//     the pre-packing representation, kept as the differential/ablation
-//     baseline behind ExtractionOptions::poly_repr and bench_ablation's
-//     --poly-repr=vector.
-//
+// Monomials are PackedMono (two inline words with an arena spill, see
+// packed_mono.h) keyed into a flat open-addressing term map (term_map.h).
 // The word-level endgame (word_lift, equivalence) keeps the generic MPoly
-// ring with BigUint exponents; a legacy-tier chain converts its remainder to
-// the packed form at that boundary, so everything downstream of the
-// reduction chain is representation-agnostic. BitRepr<M> is the trait bundle
-// the templated engines (rewriter.h, extractor.cpp) select on.
+// ring with BigUint exponents.
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -47,121 +32,24 @@
 
 namespace gfa {
 
-/// Which monomial tier the reduction chain runs on (see the header comment).
-enum class PolyRepr {
-  kPacked,  // PackedMono + flat arena map (default)
-  kVector,  // std::vector<VarId> + unordered_map (legacy baseline)
-};
-
-inline const char* poly_repr_name(PolyRepr r) {
-  return r == PolyRepr::kPacked ? "packed" : "vector";
-}
-
-/// A multilinear monomial in the packed tier: strictly increasing VarIds,
-/// inline in two words (see packed_mono.h).
+/// A multilinear monomial: strictly increasing VarIds, inline in two words.
 using BitMono = PackedMono;
 
-/// The legacy tier's monomial: the ids as a plain sorted vector.
-using LegacyBitMono = std::vector<VarId>;
-
-struct BitMonoHash {
-  /// splitmix64 finalizer: full-width mixing so every input bit reaches
-  /// every output bit. The earlier FNV-1a loop xored whole 32-bit VarIds at
-  /// once; consecutive net ids (the common case — monomials over neighboring
-  /// circuit nets) then differed only in a few low bits and the map's bucket
-  /// distribution degraded exactly when the term map was largest.
-  static std::uint64_t mix(std::uint64_t z) {
-    z ^= z >> 30;
-    z *= 0xbf58476d1ce4e5b9ull;
-    z ^= z >> 27;
-    z *= 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    return z;
-  }
-
-  std::size_t operator()(const LegacyBitMono& m) const {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull * (m.size() + 1);
-    for (VarId v : m) h = mix(h + 0x9e3779b97f4a7c15ull + v);
-    return static_cast<std::size_t>(h);
-  }
-};
-
-/// Union of two multilinear monomials (x² = x collapses duplicates).
-LegacyBitMono bitmono_mul(const LegacyBitMono& a, const LegacyBitMono& b);
-inline PackedMono bitmono_mul(const PackedMono& a, const PackedMono& b) {
-  return packed_mono_mul(a, b);
-}
-
-/// The per-representation trait bundle the templated engines select on.
-template <class M>
-struct BitRepr;
-
-template <>
-struct BitRepr<PackedMono> {
-  static constexpr PolyRepr kKind = PolyRepr::kPacked;
-  using Mono = PackedMono;
-  using TermMap = PackedTermMap<Gf2k::Elem>;
-
-  /// `ids` sorted and unique.
-  static Mono from_ids(std::vector<VarId> ids) {
-    return PackedMono::from_sorted(ids.data(), ids.size());
-  }
-  /// Checkpoint serialization runs on packed monomials.
-  static PackedMono to_packed(const Mono& m) { return m; }
-  static Mono from_packed(PackedMono m) { return m; }
-  /// `m` with one variable stripped (the substitution hot path).
-  static Mono without(const Mono& m, VarId v) { return m.without(v); }
-  /// Heap bytes a stored monomial owns beyond its inline footprint.
-  static std::size_t mono_heap_bytes(const Mono& m) { return m.spill_bytes(); }
-  /// Bytes the term map charges against the rewriter.terms budget site:
-  /// exact arena footprint plus a per-coefficient estimate (the Gf2Poly word
-  /// buffers live outside the arena).
-  static std::size_t map_bytes(const TermMap& t) {
-    return t.allocated_bytes() + t.size() * 32;
-  }
-};
-
-template <>
-struct BitRepr<LegacyBitMono> {
-  static constexpr PolyRepr kKind = PolyRepr::kVector;
-  using Mono = LegacyBitMono;
-  using TermMap = std::unordered_map<LegacyBitMono, Gf2k::Elem, BitMonoHash>;
-
-  static Mono from_ids(std::vector<VarId> ids) { return ids; }
-  static PackedMono to_packed(const Mono& m) {
-    return PackedMono::from_sorted(m.data(), m.size());
-  }
-  static Mono from_packed(const PackedMono& m) { return m.ids(); }
-  static Mono without(const Mono& m, VarId v) {
-    Mono rest;
-    rest.reserve(m.size() - 1);
-    for (VarId x : m)
-      if (x != v) rest.push_back(x);
-    return rest;
-  }
-  static std::size_t mono_heap_bytes(const Mono&) {
-    return 0;  // folded into the kRewriterTermBytes per-entry estimate
-  }
-  static std::size_t map_bytes(const TermMap& t);  // defined in bitpoly.cpp
-};
-
-template <class M>
-class BasicBitPoly {
+class BitPoly {
  public:
-  using Mono = M;
   using Elem = Gf2k::Elem;
-  using TermMap = typename BitRepr<M>::TermMap;
+  using TermMap = PackedTermMap<Elem>;
 
-  explicit BasicBitPoly(const Gf2k* field) : field_(field) {}
+  explicit BitPoly(const Gf2k* field) : field_(field) {}
 
-  static BasicBitPoly constant(const Gf2k* field, Elem c) {
-    BasicBitPoly p(field);
-    p.add_term(M{}, c);
+  static BitPoly constant(const Gf2k* field, Elem c) {
+    BitPoly p(field);
+    p.add_term(BitMono{}, c);
     return p;
   }
-  static BasicBitPoly variable(const Gf2k* field, VarId v) {
-    BasicBitPoly p(field);
-    p.add_term(M{v}, field->one());
+  static BitPoly variable(const Gf2k* field, VarId v) {
+    BitPoly p(field);
+    p.add_term(BitMono{v}, field->one());
     return p;
   }
 
@@ -176,51 +64,43 @@ class BasicBitPoly {
   void reserve(std::size_t n) { terms_.reserve(n); }
 
   /// Adds c·m, cancelling to zero where coefficients collide (char 2).
-  void add_term(const M& m, const Elem& c) {
+  void add_term(BitMono m, const Elem& c) {
     if (c.is_zero()) return;
-    auto [it, inserted] = terms_.try_emplace(m, c);
+    auto [it, inserted] = terms_.try_emplace(std::move(m), c);
     if (!inserted) {
       it->second += c;  // field add == GF(2)[x] XOR
       if (it->second.is_zero()) terms_.erase(it);
     }
   }
-  void add_term(M&& m, const Elem& c) {
-    if (c.is_zero()) return;
-    auto [it, inserted] = terms_.try_emplace(std::move(m), c);
-    if (!inserted) {
-      it->second += c;
-      if (it->second.is_zero()) terms_.erase(it);
-    }
-  }
 
-  Elem coeff(const M& m) const {
+  Elem coeff(const BitMono& m) const {
     auto it = terms_.find(m);
     return it == terms_.end() ? field_->zero() : it->second;
   }
 
-  BasicBitPoly operator+(const BasicBitPoly& rhs) const {
-    BasicBitPoly out = *this;
+  BitPoly operator+(const BitPoly& rhs) const {
+    BitPoly out = *this;
     out += rhs;
     return out;
   }
-  BasicBitPoly& operator+=(const BasicBitPoly& rhs) {
+  BitPoly& operator+=(const BitPoly& rhs) {
     reserve(terms_.size() + rhs.terms_.size());
     for (const auto& [m, c] : rhs.terms_) add_term(m, c);
     return *this;
   }
   /// Multilinear product; pre-reserves for the worst-case |lhs|·|rhs| fanout
   /// (capped — cancellation usually keeps the result far smaller).
-  BasicBitPoly operator*(const BasicBitPoly& rhs) const {
-    BasicBitPoly out(field_);
+  BitPoly operator*(const BitPoly& rhs) const {
+    BitPoly out(field_);
     out.reserve(std::min<std::size_t>(
         terms_.size() * rhs.terms_.size(), std::size_t{1} << 16));
     for (const auto& [ma, ca] : terms_)
       for (const auto& [mb, cb] : rhs.terms_)
-        out.add_term(bitmono_mul(ma, mb), field_->mul(ca, cb));
+        out.add_term(packed_mono_mul(ma, mb), field_->mul(ca, cb));
     return out;
   }
-  BasicBitPoly scaled(const Elem& c) const {
-    BasicBitPoly out(field_);
+  BitPoly scaled(const Elem& c) const {
+    BitPoly out(field_);
     if (c.is_zero()) return out;
     out.reserve(terms_.size());
     for (const auto& [m, coeff] : terms_) out.add_term(m, field_->mul(coeff, c));
@@ -238,11 +118,8 @@ class BasicBitPoly {
   Elem eval(const std::vector<bool>& assignment) const;
 
   const TermMap& terms() const { return terms_; }
-  TermMap& mutable_terms() { return terms_; }
 
-  bool operator==(const BasicBitPoly& rhs) const {
-    return terms_ == rhs.terms_;
-  }
+  bool operator==(const BitPoly& rhs) const { return terms_ == rhs.terms_; }
 
   std::string to_string(const VarPool& pool) const;
 
@@ -250,13 +127,5 @@ class BasicBitPoly {
   const Gf2k* field_;
   TermMap terms_;
 };
-
-/// The packed tier: what every engine means by "BitPoly".
-using BitPoly = BasicBitPoly<BitMono>;
-/// The legacy tier, kept for differential testing and ablation.
-using LegacyBitPoly = BasicBitPoly<LegacyBitMono>;
-
-extern template class BasicBitPoly<PackedMono>;
-extern template class BasicBitPoly<LegacyBitMono>;
 
 }  // namespace gfa

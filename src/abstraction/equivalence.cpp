@@ -135,10 +135,10 @@ EquivalenceResult check_equivalence(const Netlist& spec, const Netlist& impl,
                                     const ExtractionOptions& options) {
   // Build the O(k³) Frobenius basis change once for both circuits, then
   // abstract spec and impl one after the other. Each extraction parallelizes
-  // internally at full pool width (sharded reduction chain, lift
-  // transforms); running the two concurrently instead would serialize all of
-  // that — parallel_invoke marks both callers as pool work, so every nested
-  // loop degrades — and caps the speedup at 2.
+  // its lift transforms internally at full pool width; running the two
+  // concurrently instead would serialize all of that — parallel_invoke marks
+  // both callers as pool work, so every nested loop degrades — and caps the
+  // speedup at 2.
   ExtractionOptions local = options;
   std::optional<WordLift> owned_lift;
   if (local.shared_lift == nullptr) {

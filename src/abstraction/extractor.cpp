@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <optional>
 #include <stdexcept>
 
@@ -88,32 +89,59 @@ CheckpointPlan plan_checkpoint(const Netlist& netlist, unsigned k,
 }
 
 /// Snapshots the rewriter's term map in a deterministic (sorted) order and
-/// writes it. The file format stores packed monomials whichever tier the
-/// chain runs on, so checkpoints transfer across --poly-repr settings. Save
-/// failures are logged, not fatal — checkpointing is an optimization, never
-/// a correctness dependency.
-template <class M>
+/// writes it. Save failures are logged, not fatal — checkpointing is an
+/// optimization, never a correctness dependency.
 void save_progress(const CheckpointPlan& plan, const Word* out_word,
                    unsigned k, std::uint64_t step,
-                   const typename BitRepr<M>::TermMap& terms) {
+                   const BackwardRewriter::TermMap& terms) {
   worker::ReductionCheckpoint cp;
   cp.k = k;
   cp.circuit_hash = plan.circuit_hash;
   cp.word = out_word->name;
   cp.step = step;
   cp.terms.reserve(terms.size());
-  for (const auto& [mono, coeff] : terms)
-    cp.terms.emplace_back(BitRepr<M>::to_packed(mono), coeff);
+  for (const auto& [mono, coeff] : terms) cp.terms.emplace_back(mono, coeff);
   std::sort(cp.terms.begin(), cp.terms.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   if (const Status s = worker::save_checkpoint(plan.path, cp); !s.ok())
     GFA_LOG_WARN("extract", "checkpoint save failed: " << s.message());
 }
 
-template <class M>
-WordFunction extract_for_word_impl(const Netlist& netlist, const Gf2k& field,
-                                   const Word* out_word,
-                                   const ExtractionOptions& options) {
+/// Substitutes gates[from, to) — in RATO order — into `rw`. One scratch tail
+/// is reused across all gates (its capacity sticks, so steady-state tail
+/// construction is allocation-free), and gates absent from the working
+/// polynomial skip tail construction outright (substitution would be a
+/// no-op — the occurrence index only over-approximates, never misses). The
+/// control is polled once per gate on the calling thread, so the Nth poll
+/// lands on the same gate at every pool width. One substitution in 64 is
+/// timed into the rewriter.substitution_us histogram when metrics are on.
+void run_chain(BackwardRewriter& rw, const Netlist& netlist,
+               const std::vector<NetId>& gates, std::size_t from,
+               std::size_t to, const ExecControl* control) {
+  const bool measured = obs::metrics_enabled();
+  FlatTail tail;
+  for (std::size_t i = from; i < to; ++i) {
+    throw_if_stopped(control);
+    if (i + 2 < to) rw.prefetch_occurrence_list(gates[i + 2]);
+    if (i + 1 < to) rw.prefetch_pending(gates[i + 1]);
+    if (rw.occurrences(gates[i]) == 0) continue;
+    fill_gate_tail(netlist.gate(gates[i]), tail);
+    if (measured && (i & 63u) == 0) {
+      const auto t0 = std::chrono::steady_clock::now();
+      rw.substitute(gates[i], tail);
+      const auto dt = std::chrono::steady_clock::now() - t0;
+      GFA_HISTOGRAM(
+          "rewriter.substitution_us",
+          std::chrono::duration_cast<std::chrono::microseconds>(dt).count());
+    } else {
+      rw.substitute(gates[i], tail);
+    }
+  }
+}
+
+WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
+                              const Word* out_word,
+                              const ExtractionOptions& options) {
   const obs::TraceSpan extract_span("extract_word", "abstraction");
   report_phase("extract_word", 0, 0, 0, options.control);
   const unsigned k = field.k();
@@ -143,19 +171,8 @@ WordFunction extract_for_word_impl(const Netlist& netlist, const Gf2k& field,
   ExtractionStats stats;
   CheckpointPlan ckpt = plan_checkpoint(netlist, k, out_word, options);
   stats.resumed = ckpt.resumed;
-  // Seed sharding: the chain is linear in the seed polynomial, so S
-  // sub-chains over a partition of the seeds XOR-merge to the serial result
-  // at every step (ShardedRewriter). A checkpoint's terms re-shard on resume
-  // the same way — any partition is valid — so a run saved at one thread
-  // count resumes at another.
-  const std::size_t seed_count =
-      ckpt.resumed ? ckpt.resume_terms.size() : k;
-  unsigned shards = options.chain_shards != 0 ? options.chain_shards
-                                              : parallel_available_width();
-  if (seed_count > 0 && shards > seed_count)
-    shards = static_cast<unsigned>(seed_count);
-  BasicShardedRewriter<M> chain(field, std::move(substitutable), shards,
-                                options.max_terms, options.control);
+  BackwardRewriter chain(std::move(substitutable), options.max_terms,
+                         options.control);
   try {
     std::vector<NetId> rato;
     {
@@ -167,27 +184,25 @@ WordFunction extract_for_word_impl(const Netlist& netlist, const Gf2k& field,
     }
     const obs::TraceSpan chain_span("reduction_chain", "abstraction");
     if (ckpt.resumed) {
-      // Seed the shards with the checkpointed intermediate polynomial (the
-      // occurrence indexes rebuild through add()); the first resume_step
+      // Seed the rewriter with the checkpointed intermediate polynomial (the
+      // occurrence index rebuilds through add()); the first resume_step
       // substitutions of the deterministic RATO chain are already folded in.
       for (auto& [mono, coeff] : ckpt.resume_terms)
-        chain.seed(BitRepr<M>::from_packed(std::move(mono)), coeff);
+        chain.add(std::move(mono), std::move(coeff));
       ckpt.resume_terms.clear();
     } else {
       for (unsigned j = 0; j < k; ++j)
-        chain.seed(M{out_word->bits[j]}, basis_elem(j));
+        chain.add(BitMono{out_word->bits[j]}, basis_elem(j));
     }
     std::vector<NetId> gates;
     gates.reserve(rato.size());
     for (NetId n : rato)
       if (!is_input[n]) gates.push_back(n);
     // The chain runs in segments of one checkpoint interval (the whole chain
-    // when neither checkpointing nor a progress sink is active); every
-    // segment end is a merge barrier where the XOR-merged polynomial equals
-    // the serial state, so that is where snapshots — and heartbeat progress
-    // reports — happen. A sink alone segments at the default checkpoint
-    // cadence: run_segment carries no per-call merge cost, so segmentation
-    // only bounds how stale a heartbeat's step count can get.
+    // when neither checkpointing nor a progress sink is active); snapshots
+    // and heartbeat progress reports happen at segment ends. A sink alone
+    // segments at the default checkpoint cadence, which only bounds how
+    // stale a heartbeat's step count can get.
     const bool segmented = ckpt.active || obs::progress_active();
     const std::uint64_t interval =
         ckpt.active ? ckpt.interval : std::uint64_t{1000};
@@ -198,11 +213,11 @@ WordFunction extract_for_word_impl(const Netlist& netlist, const Gf2k& field,
       const std::uint64_t end =
           segmented ? std::min<std::uint64_t>(step + interval, gates.size())
                     : gates.size();
-      chain.run_segment(netlist, gates, step, end);
+      run_chain(chain, netlist, gates, step, end, options.control);
       stats.substitutions += end - step;
       step = end;
       if (ckpt.active && step < gates.size()) {
-        save_progress<M>(ckpt, out_word, k, step, chain.merged());
+        save_progress(ckpt, out_word, k, step, chain.terms());
         if (obs::progress_active())
           obs::flight::note("checkpoint:save", step, chain.num_terms());
       }
@@ -222,7 +237,7 @@ WordFunction extract_for_word_impl(const Netlist& netlist, const Gf2k& field,
   GFA_GAUGE_MAX("extract.peak_terms", stats.peak_terms);
 
   // The remainder now mentions only primary-input bits.
-  const typename BitRepr<M>::TermMap remainder = chain.take_merged();
+  const BackwardRewriter::TermMap& remainder = chain.terms();
   stats.remainder_terms = remainder.size();
   bool any_bits = false;
   for (const auto& [m, c] : remainder) {
@@ -251,9 +266,7 @@ WordFunction extract_for_word_impl(const Netlist& netlist, const Gf2k& field,
     result.input_words.push_back(w->name);
   }
 
-  // Remap the remainder onto pool variable ids. Whichever tier the chain ran
-  // on, the lift boundary takes the packed form — everything downstream of
-  // here is representation-agnostic.
+  // Remap the remainder onto pool variable ids.
   BitPoly r(&field);
   r.reserve(remainder.size());
   std::vector<VarId> mapped;
@@ -287,19 +300,6 @@ WordFunction extract_for_word_impl(const Netlist& netlist, const Gf2k& field,
   }
   result.stats = stats;
   return result;
-}
-
-/// Tier dispatch: the whole chain (rewriter, checkpoint snapshots, remainder
-/// remap) is instantiated per monomial representation; the two instantiations
-/// produce bit-identical WordFunctions.
-WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
-                              const Word* out_word,
-                              const ExtractionOptions& options) {
-  return options.poly_repr == PolyRepr::kVector
-             ? extract_for_word_impl<LegacyBitMono>(netlist, field, out_word,
-                                                    options)
-             : extract_for_word_impl<BitMono>(netlist, field, out_word,
-                                              options);
 }
 
 }  // namespace

@@ -65,25 +65,14 @@ struct ExtractionOptions {
   /// the polynomial basis {α^i}; pass a NormalBasis::basis() for circuits
   /// whose words are normal-basis coordinates (e.g. Massey–Omura multipliers).
   const std::vector<Gf2k::Elem>* basis = nullptr;
-  /// Deadline/cancellation, checkpointed per gate substitution in the
-  /// backward-rewriting loop, inside the Frobenius lift, and per chunk of any
-  /// internal parallel_for. Expiry unwinds via StatusError; the try_* entry
+  /// Deadline/cancellation, checkpointed once per gate in the
+  /// backward-rewriting loop (on the calling thread, whatever the pool
+  /// width), inside the Frobenius lift, and per chunk of any internal
+  /// parallel_for. Expiry unwinds via StatusError; the try_* entry
   /// points below convert it to a Status.
   const ExecControl* control = nullptr;
   /// Periodic reduction-chain checkpointing (null = off; see above).
   const ExtractionCheckpoint* checkpoint = nullptr;
-  /// Sub-chains the reduction chain is split into (seed sharding — see
-  /// ShardedRewriter in rewriter.h; the extracted polynomial is bit-identical
-  /// for every value). 0 = auto: the pool width, capped by the seed size.
-  /// 1 forces the serial chain.
-  unsigned chain_shards = 0;
-  /// Monomial tier the reduction chain runs on (see bitpoly.h). kPacked is
-  /// the production default; kVector selects the legacy vector/unordered_map
-  /// representation for differential testing and the --poly-repr ablation.
-  /// The extracted polynomial is bit-identical either way — only speed and
-  /// memory differ. The word-level endgame (lift, equivalence) is unaffected:
-  /// it always runs on the generic MPoly ring.
-  PolyRepr poly_repr = PolyRepr::kPacked;
 };
 
 struct ExtractionStats {

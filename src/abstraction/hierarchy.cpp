@@ -70,7 +70,7 @@ HierarchicalAbstraction abstract_hierarchy(const WordSignalGraph& graph,
   // A block netlist instantiated several times (e.g. the shared multiplier of
   // an Itoh–Tsujii chain) is abstracted once. The unique blocks (the Fig. 1
   // blocks of a Montgomery multiplier) are mutually independent, so they are
-  // abstracted concurrently; each extraction's own chain then shards to
+  // abstracted concurrently; each extraction's own parallel loops then use
   // whatever width is left (nested loops degrade to serial).
   std::vector<const Netlist*> unique_blocks;
   std::unordered_map<const Netlist*, WordFunction> memo;

@@ -21,11 +21,10 @@
 // choice is therefore *canonical* — equality and hashing never compare across
 // forms, and the inline fast paths stay branch-light.
 //
-// The representation is the unit of the "packed" tier in the phase-aware
-// facade (bitpoly.h): the circuit-variable phase (rewriter chain, extractor,
-// F4, hierarchy) runs entirely on PackedMono keys; the word-level
-// BigUint-exponent endgame (word_lift, equivalence) stays on the generic
-// MPoly ring.
+// The representation is the monomial of BitPoly (bitpoly.h): the
+// circuit-variable phase (rewriter chain, extractor, hierarchy) runs entirely
+// on PackedMono keys; the word-level BigUint-exponent endgame (word_lift,
+// equivalence) stays on the generic MPoly ring.
 
 #include <cstddef>
 #include <cstdint>
@@ -41,9 +40,9 @@ namespace gfa {
 namespace detail {
 
 /// Thread-local size-classed free lists backing spilled monomials. Buffers
-/// are recycled within the freeing thread (spills that migrate across shard
-/// merges are simply returned to the merger's pool); each class caches a
-/// bounded number of buffers and falls back to operator new beyond that.
+/// are recycled within the freeing thread (a spill freed on another thread
+/// returns to that thread's pool); each class caches a bounded number of
+/// buffers and falls back to operator new beyond that.
 VarId* spill_alloc(std::size_t n);
 void spill_free(VarId* p, std::size_t n) noexcept;
 /// Bytes the pool accounts for an n-id spill buffer (its size class, not n).
@@ -215,8 +214,7 @@ class PackedMono {
     return without_spilled(v);
   }
 
-  /// The ids as a plain vector (serialization, conversions to the legacy
-  /// representation).
+  /// The ids as a plain vector.
   std::vector<VarId> ids() const { return std::vector<VarId>(begin(), end()); }
 
  private:

@@ -7,34 +7,11 @@
 // actually contain it. Under RATO this sequence of substitutions *is* the
 // Gröbner-basis reduction chain (see extractor.h).
 //
-// The engine is templated on the monomial representation (BitRepr<M> in
-// bitpoly.h): BackwardRewriter/ShardedRewriter are the packed-tier
-// instantiations every production path uses; the Legacy* aliases instantiate
-// the pre-packing vector/unordered_map tier for differential tests and the
-// --poly-repr=vector ablation. Both instantiations run the identical
-// algorithm and merge in the identical fixed order, so their results are
-// bit-identical term for term.
-//
-// Two layers of parallelism sit on top of the serial engine, both bit-exact:
-//
-//   * Chunked substitution (BackwardRewriter::substitute): when one gate
-//     variable occurs in many terms, the affected terms are collected, the
-//     x → tail(x) expansion runs shard-locally into thread-private term maps
-//     on the pool, and the shards merge back in fixed order. XOR-combining
-//     coefficients in F_{2^k} is exact and commutative, so the merged map
-//     equals the serial result term for term. This helps pending-heavy chains
-//     (flat Montgomery, where most of the time sits in wide substitutions).
-//
-//   * Seed sharding (ShardedRewriter): substitution is linear in the working
-//     polynomial — v → tail(v) is a ring homomorphism on F_{2^k}[x]/J_0, so
-//     chain(p ⊕ q) = chain(p) ⊕ chain(q). Splitting the k seed terms across
-//     S independent rewriters, running the same RATO sequence in each, and
-//     XOR-merging yields the serial polynomial exactly, at every step of the
-//     chain. This helps pending-thin chains (XOR-tree multipliers keep each
-//     substitutable variable in ≤ 1 term, so chunking has nothing to split).
+// The engine is serial: every substitution runs on the calling thread, so the
+// work it does, the fault points it hits and the polynomial it produces do
+// not depend on the thread-pool width.
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -49,54 +26,29 @@ struct RewriteBudgetExceeded : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Pending-term count above which substitute() fans the tail expansion out
-/// across the pool. Below it the dispatch + merge overhead beats the win.
-inline constexpr std::size_t kChunkedSubstitutionMin = 128;
-
 /// A gate tail as a flat monomial list with every coefficient implicitly 1.
 /// Substitution only ever *iterates* a tail's terms — it never looks one up —
 /// and every boolean gate's tail polynomial over F_{2^k} has all-one
-/// coefficients, so the packed tier builds tails as plain monomial vectors
-/// straight from the gate structure instead of routing them through a
-/// hash-map polynomial (one map, several temporaries, and one heap-allocated
-/// field element per term, per gate; over half the reduction-chain wall time
-/// at k=163 before this existed). The legacy tier keeps building BasicBitPoly
-/// tails, preserving the pre-packing baseline the ablation measures against.
-template <class M>
+/// coefficients, so tails are plain monomial vectors built straight from the
+/// gate structure instead of hash-map polynomials (one map, several
+/// temporaries, and one heap-allocated field element per term, per gate;
+/// over half the reduction-chain wall time at k=163 before this existed).
+/// Term order within a tail is unspecified: tails only feed commutative
+/// XOR-accumulation.
 struct FlatTail {
-  std::vector<M> monos;
+  std::vector<BitMono> monos;
 };
 
-template <class M>
-struct TailOf {
-  using type = BasicBitPoly<M>;
-};
-template <>
-struct TailOf<PackedMono> {
-  using type = FlatTail<PackedMono>;
-};
-
-/// The tail representation the M-tier reduction chain substitutes with.
-template <class M>
-using GateTail = typename TailOf<M>::type;
-
-/// Builds a gate's tail in the tier's substitution representation. Term
-/// *content* is identical across tiers (term order within a tail is not
-/// specified — tails only feed commutative XOR-accumulation).
-template <class M>
-GateTail<M> make_gate_tail(const Gf2k& field, const Netlist::Gate& gate);
-
-/// Rebuilds `tail` in place for `gate`, reusing its vector capacity. The
-/// serial chain calls this once per gate; with the spill pool behind wide
+/// Rebuilds `tail` in place as the tail of `gate` over net-id variables (the
+/// multilinear form of gate_tail_poly), reusing its vector capacity. The
+/// chain calls this once per gate; with the spill pool behind wide
 /// monomials, steady-state tail construction allocates nothing at all.
-void fill_gate_tail(const Gf2k& field, const Netlist::Gate& gate,
-                    FlatTail<PackedMono>& tail);
+void fill_gate_tail(const Netlist::Gate& gate, FlatTail& tail);
 
 /// A vector with N inline slots that spills to a heap vector past them.
-/// Backs the packed tier's occurrence index: in XOR-dominated multiplier
-/// chains almost every substitutable variable occurs in one or two working
-/// terms, so the per-variable occurrence lists stay malloc-free (the legacy
-/// tier keeps plain std::vector lists — the frozen ablation baseline).
+/// Backs the occurrence index: in XOR-dominated multiplier chains almost
+/// every substitutable variable occurs in one or two working terms, so the
+/// per-variable occurrence lists stay malloc-free.
 template <class T, std::size_t N>
 class InlineSmallVec {
  public:
@@ -146,62 +98,76 @@ class InlineSmallVec {
   std::vector<T> heap_;
 };
 
-/// The occurrence-list container of the M-tier rewriter.
-template <class M>
-struct OccListOf {
-  using type = std::vector<M>;
-};
-template <>
-struct OccListOf<PackedMono> {
-  using type = InlineSmallVec<PackedMono, 2>;
-};
-
-template <class M>
-class BasicBackwardRewriter {
+class BackwardRewriter {
  public:
-  using Repr = BitRepr<M>;
-  using Poly = BasicBitPoly<M>;
-  using TermMap = typename Repr::TermMap;
+  using TermMap = BitPoly::TermMap;
 
   /// `substitutable[v]` marks variables that may later be substituted (gate
   /// outputs); only those are indexed. `max_terms` = 0 disables the budget.
   /// A control carrying a ResourceBudget additionally bounds the term map
-  /// and occurrence index in bytes (site rewriter.terms); its deadline and
-  /// cancel token are polled inside chunked-substitution shard loops.
-  BasicBackwardRewriter(const Gf2k& field, std::vector<bool> substitutable,
-                        std::size_t max_terms = 0,
-                        const ExecControl* control = nullptr)
-      : field_(field),
-        substitutable_(std::move(substitutable)),
+  /// and occurrence index in bytes (site rewriter.terms).
+  explicit BackwardRewriter(std::vector<bool> substitutable,
+                            std::size_t max_terms = 0,
+                            const ExecControl* control = nullptr)
+      : substitutable_(std::move(substitutable)),
         occurs_(substitutable_.size()),
         max_terms_(max_terms),
-        control_(control),
         lease_(budget_of(control), BudgetSite::kRewriterTerms) {}
 
-  void add(M mono, const Gf2k::Elem& coeff) {
+  void add(BitMono mono, const Gf2k::Elem& coeff) {
     add_impl(std::move(mono), coeff);
   }
   /// Move overload: on a fresh insert the coefficient's heap buffer moves
   /// into the map instead of being copied (one malloc per term at k > 64).
-  void add(M mono, Gf2k::Elem&& coeff) {
+  void add(BitMono mono, Gf2k::Elem&& coeff) {
     add_impl(std::move(mono), std::move(coeff));
+  }
+  void add(const BitPoly& p) {
+    for (const auto& [m, c] : p.terms()) add(m, c);
+  }
+
+  /// Replaces every occurrence of variable v by `tail` (a polynomial over
+  /// variables that will be substituted after v, or never).
+  void substitute(VarId v, const FlatTail& tail);
+
+  std::size_t num_terms() const { return terms_.size(); }
+  const TermMap& terms() const { return terms_; }
+
+  /// Largest term-map size seen so far (sampled after every insertion).
+  std::size_t peak_terms() const { return peak_terms_; }
+
+  /// Registered (possibly stale) occurrence-index entries for v.
+  std::size_t occurrences(VarId v) const { return occurs_[v].size(); }
+
+  /// Gate-lookahead prefetch hooks for the chain: a substitution typically
+  /// affects a single term, so latency can only be hidden by warming the
+  /// *next* gates' state while the current one expands. Two levels, matching
+  /// the dependency chain: the occurrence list line first (its inline slots
+  /// hold the pending monomials), then — one gate later, once that line is
+  /// resident — the term-map slots those monomials probe. Advisory only.
+  void prefetch_occurrence_list(VarId v) const {
+    __builtin_prefetch(&occurs_[v], 0, 1);
+  }
+  void prefetch_pending(VarId v) const {
+    const auto& pending = occurs_[v];
+    std::size_t n = pending.size();
+    if (n > 4) n = 4;  // a few lines of lead is all the loop can use
+    for (std::size_t i = 0; i < n; ++i) terms_.prefetch(pending[i]);
   }
 
  private:
   template <class C>
-  void add_impl(M mono, C&& coeff) {
+  void add_impl(BitMono mono, C&& coeff) {
     if (coeff.is_zero()) return;
     GFA_FAULT_POINT("oom:rewriter.add");
-    // The packed tier recycles spent coefficient buffers (cancelled terms,
-    // unconsumed rvalues) through a small pool: a copy-insert lands in a
-    // recycled buffer's capacity instead of a fresh heap block. The legacy
-    // tier keeps the baseline allocation behavior.
-    constexpr bool kRecycle = std::is_same_v<M, PackedMono>;
+    // Spent coefficient buffers (cancelled terms, unconsumed rvalues) are
+    // recycled through a small pool: a copy-insert lands in a recycled
+    // buffer's capacity instead of a fresh heap block.
     constexpr bool kByMove = !std::is_reference_v<C>;
     // try_emplace leaves `mono` (and `coeff`) intact when the key already
     // exists; it forwards the coefficient only on a fresh insert.
-    std::pair<typename TermMap::iterator, bool> r;
-    if constexpr (kRecycle && !kByMove) {
+    std::pair<TermMap::iterator, bool> r;
+    if constexpr (!kByMove) {
       r = terms_.try_emplace(std::move(mono));
       if (r.second) {
         Gf2k::Elem& slot = r.first->second;
@@ -217,15 +183,15 @@ class BasicBackwardRewriter {
     auto [it, inserted] = r;
     if (!inserted) {
       it->second += coeff;
-      if constexpr (kRecycle && kByMove) recycle(std::move(coeff));
+      if constexpr (kByMove) recycle(std::move(coeff));
       if (it->second.is_zero()) {
-        spill_bytes_ -= Repr::mono_heap_bytes(it->first);
-        if constexpr (kRecycle) recycle(std::move(it->second));
+        spill_bytes_ -= it->first.spill_bytes();
+        recycle(std::move(it->second));
         terms_.erase(it);
       }
       return;  // already indexed
     }
-    spill_bytes_ += Repr::mono_heap_bytes(it->first);
+    spill_bytes_ += it->first.spill_bytes();
     for (VarId v : it->first) {
       if (substitutable_[v]) {
         occurs_[v].push_back(it->first);
@@ -236,84 +202,18 @@ class BasicBackwardRewriter {
     if (max_terms_ && terms_.size() > max_terms_)
       throw RewriteBudgetExceeded("rewriting term budget exceeded");
     // Byte accounting is synced every 64 mutations — often enough to stop a
-    // blow-up, rare enough to keep the atomics out of the inner loop.
+    // blow-up, rare enough to keep the atomics out of the inner loop. The
+    // arena footprint is exact; coefficients add a per-term estimate (their
+    // Gf2Poly word buffers live outside the arena).
     if (lease_.active() && (++budget_ops_ & 63u) == 0)
-      lease_.set_bytes(Repr::map_bytes(terms_) + spill_bytes_ + occ_bytes_);
+      lease_.set_bytes(terms_.allocated_bytes() + terms_.size() * 32 +
+                       spill_bytes_ + occ_bytes_);
   }
 
- public:
-  void add(const Poly& p) {
-    for (const auto& [m, c] : p.terms()) add(m, c);
-  }
-
-  /// Replaces every occurrence of variable v by `tail` (a polynomial over
-  /// variables that will be substituted after v, or never). Fans out across
-  /// the pool when enough terms are affected (see header comment); the
-  /// result is bit-identical either way. Accepts the tier's flat tail form
-  /// (what the chain feeds it) or a full polynomial (tests, baselines).
-  void substitute(VarId v, const Poly& tail) { substitute_impl(v, tail); }
-  void substitute(VarId v, const FlatTail<M>& tail) {
-    substitute_impl(v, tail);
-  }
-
-  std::size_t num_terms() const { return terms_.size(); }
-  const TermMap& terms() const { return terms_; }
-
-  /// Destructively hands the term map over (the rewriter is spent after);
-  /// used by ShardedRewriter's final merge to avoid copying every monomial.
-  TermMap take_terms() { return std::move(terms_); }
-
-  /// Largest term-map size seen so far (sampled after every insertion).
-  std::size_t peak_terms() const { return peak_terms_; }
-
-  /// Registered (possibly stale) occurrence-index entries for v.
-  std::size_t occurrences(VarId v) const { return occurs_[v].size(); }
-
-  /// Gate-lookahead prefetch hooks for the serial chain (run_segment): a
-  /// substitution typically affects a single term, so latency can only be
-  /// hidden by warming the *next* gates' state while the current one
-  /// expands. Two levels, matching the dependency chain: the occurrence
-  /// list line first (its inline slots hold the pending monomials), then —
-  /// one gate later, once that line is resident — the term-map slots those
-  /// monomials probe. Advisory only; no-ops on the legacy tier, whose
-  /// baseline behavior stays frozen for the ablation.
-  void prefetch_occurrence_list(VarId v) const {
-    if constexpr (std::is_same_v<M, PackedMono>)
-      __builtin_prefetch(&occurs_[v], 0, 1);
-  }
-  void prefetch_pending(VarId v) const {
-    if constexpr (std::is_same_v<M, PackedMono>) {
-      const auto& pending = occurs_[v];
-      std::size_t n = pending.size();
-      if (n > 4) n = 4;  // a few lines of lead is all the loop can use
-      for (std::size_t i = 0; i < n; ++i) terms_.prefetch(pending[i]);
-    }
-  }
-
- private:
-  /// One affected term, detached from the map: the monomial minus v, plus
-  /// its coefficient.
-  struct Affected {
-    M rest;
-    Gf2k::Elem coeff;
-  };
-
-  template <class TailT>
-  void substitute_impl(VarId v, const TailT& tail);
-
-  template <class TailT>
-  void expand_chunked(const std::vector<Affected>& work, const TailT& tail,
-                      unsigned width);
-
-  /// Heap footprint of one occurrence-index entry (vector slot + the copied
-  /// monomial). The packed tier's inline monomials cost the slot alone and
-  /// spilled ones add their arena buffer; the legacy tier keeps its original
-  /// node-plus-id-buffer estimate.
-  static std::size_t occ_entry_bytes(const M& m) {
-    if constexpr (std::is_same_v<M, PackedMono>)
-      return sizeof(M) + Repr::mono_heap_bytes(m);
-    else
-      return 32 + sizeof(VarId) * m.size();
+  /// Heap footprint of one occurrence-index entry: the slot, plus the arena
+  /// buffer of a spilled monomial.
+  static std::size_t occ_entry_bytes(const BitMono& m) {
+    return sizeof(BitMono) + m.spill_bytes();
   }
 
   /// Banks a spent coefficient's heap buffer for reuse (bounded pool).
@@ -322,12 +222,10 @@ class BasicBackwardRewriter {
   }
   static constexpr std::size_t kElemPoolCap = 64;
 
-  const Gf2k& field_;
   std::vector<bool> substitutable_;
   TermMap terms_;
-  std::vector<typename OccListOf<M>::type> occurs_;
+  std::vector<InlineSmallVec<BitMono, 2>> occurs_;
   std::size_t max_terms_;
-  const ExecControl* control_;
   std::size_t occ_bytes_ = 0;    // current occurrence-index footprint
   std::size_t spill_bytes_ = 0;  // arena bytes owned by keys in terms_
   std::size_t budget_ops_ = 0;   // mutation counter for the sync cadence
@@ -335,89 +233,5 @@ class BasicBackwardRewriter {
   std::vector<Gf2k::Elem> elem_pool_;  // recycled coefficient buffers
   BudgetLease lease_;            // releases everything on destruction
 };
-
-using BackwardRewriter = BasicBackwardRewriter<BitMono>;
-using LegacyBackwardRewriter = BasicBackwardRewriter<LegacyBitMono>;
-
-/// One RATO reduction chain run as S independent sub-chains over a partition
-/// of the seed polynomial (see the header comment's linearity argument).
-/// Shards share nothing mutable — gate tails are built once per segment and
-/// read concurrently — and only meet at merge barriers, where the XOR-merge
-/// (fixed shard order) reconstructs the exact serial intermediate
-/// polynomial. Checkpoints therefore snapshot only at barriers.
-///
-/// Budgets: each shard holds its own BudgetLease against rewriter.terms and
-/// its own max_terms cap; on top, the summed term count is checked at every
-/// barrier, so a run that would have tripped serially still trips (possibly
-/// a segment later — budgets bound resources, they are not part of the
-/// canonical answer).
-template <class M>
-class BasicShardedRewriter {
- public:
-  using Shard = BasicBackwardRewriter<M>;
-  using TermMap = typename BitRepr<M>::TermMap;
-
-  BasicShardedRewriter(const Gf2k& field, std::vector<bool> substitutable,
-                       unsigned shards, std::size_t max_terms = 0,
-                       const ExecControl* control = nullptr);
-
-  unsigned shard_count() const {
-    return static_cast<unsigned>(shards_.size());
-  }
-
-  /// Distributes one seed term round-robin. Call in a fixed order (the
-  /// partition is deterministic given the call sequence; *any* partition
-  /// merges to the same polynomial).
-  void seed(M mono, const Gf2k::Elem& coeff);
-
-  /// Substitutes gates[from, to) — in RATO order — into every shard,
-  /// concurrently. Returns at a merge barrier: all shards have applied
-  /// exactly the first `to` substitutions of the chain.
-  void run_segment(const Netlist& netlist, const std::vector<NetId>& gates,
-                   std::size_t from, std::size_t to);
-
-  /// Summed live terms across shards (≥ the merged size; XOR-cancellation
-  /// between shards only resolves at a merge).
-  std::size_t num_terms() const;
-
-  /// Summed per-shard high-water marks: an upper bound on the largest
-  /// simultaneous footprint, and exactly the serial peak when S = 1.
-  std::size_t peak_terms() const;
-
-  /// Non-destructive XOR-merge (fixed shard order) — the exact serial
-  /// intermediate polynomial at the current step; checkpoint snapshots.
-  TermMap merged() const;
-
-  /// Destructive final merge; the rewriter is spent afterwards.
-  TermMap take_merged();
-
- private:
-  void check_total_terms() const;
-
-  const Gf2k& field_;
-  std::size_t max_terms_;
-  const ExecControl* control_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t next_seed_ = 0;
-};
-
-using ShardedRewriter = BasicShardedRewriter<BitMono>;
-using LegacyShardedRewriter = BasicShardedRewriter<LegacyBitMono>;
-
-extern template class BasicBackwardRewriter<BitMono>;
-extern template class BasicBackwardRewriter<LegacyBitMono>;
-extern template class BasicShardedRewriter<BitMono>;
-extern template class BasicShardedRewriter<LegacyBitMono>;
-
-/// The tail polynomial of a gate over net-id variables (multilinear form of
-/// gate_tail_poly), in either monomial tier.
-template <class M>
-BasicBitPoly<M> gate_tail_bitpoly_t(const Gf2k& field,
-                                    const Netlist::Gate& gate);
-
-inline BitPoly gate_tail_bitpoly(const Gf2k& field,
-                                 const Netlist::Gate& gate) {
-  return gate_tail_bitpoly_t<BitMono>(field, gate);
-}
 
 }  // namespace gfa

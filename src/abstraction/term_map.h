@@ -9,17 +9,11 @@
 //
 // Semantics intentionally mirror the std::unordered_map subset the
 // polynomial layer uses (try_emplace / find / at / erase(iterator) /
-// iteration / operator==), so BasicBitPoly templates over either map. Two
-// deliberate differences:
-//   * try_emplace takes the key by value (a PackedMono move is two words);
-//   * drain() replaces node-handle extraction for the deterministic shard
-//     merges — it moves every pair out in slot order and leaves the map
-//     empty. Slot order is unspecified, which is fine everywhere it is used:
-//     XOR-merging coefficients in F_{2^k} is commutative and exact.
+// iteration / operator==), except that try_emplace takes the key by value (a
+// PackedMono move is two words).
 //
 // allocated_bytes() is exact (capacity × slot footprint), which the rewriter
-// reports to the rewriter.terms ResourceBudget site instead of the per-entry
-// estimate the legacy representation needs.
+// reports to the rewriter.terms ResourceBudget site.
 
 #include <cstddef>
 #include <cstdint>
@@ -173,35 +167,6 @@ class PackedTermMap {
     slots_[i] = value_type();
     ctrl_[i] = kTomb;
     --size_;
-  }
-
-  std::size_t erase(const PackedMono& key) {
-    const std::size_t i = find_index(key);
-    if (i == cap_) return 0;
-    erase(iterator{this, i});
-    return 1;
-  }
-
-  void clear() {
-    for (std::size_t i = 0; i < cap_; ++i) {
-      if (ctrl_[i] == kFull) slots_[i] = value_type();
-      ctrl_[i] = kEmpty;
-    }
-    size_ = used_ = 0;
-  }
-
-  /// Moves every (key, value) out through `fn` in slot order and empties the
-  /// map. The replacement for unordered_map node extraction in the fixed
-  /// shard-order merges; see the header comment on ordering.
-  template <class Fn>
-  void drain(Fn&& fn) {
-    for (std::size_t i = 0; i < cap_; ++i) {
-      if (ctrl_[i] != kFull) continue;
-      fn(std::move(slots_[i].first), std::move(slots_[i].second));
-      slots_[i] = value_type();
-      ctrl_[i] = kEmpty;
-    }
-    size_ = used_ = 0;
   }
 
   void reserve(std::size_t n) {

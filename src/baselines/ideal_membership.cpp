@@ -53,7 +53,7 @@ IdealMembershipResult verify_by_ideal_membership(
     substitutable[n] = circuit.gate(n).type != GateType::kInput;
 
   IdealMembershipResult res;
-  BackwardRewriter rw(field, std::move(substitutable), options.max_terms,
+  BackwardRewriter rw(std::move(substitutable), options.max_terms,
                       options.control);
 
   // Miter polynomial f : Z + G(A, B, …), bit-blasted on both sides.
@@ -76,10 +76,12 @@ IdealMembershipResult verify_by_ideal_membership(
   // Division chain: substitute every gate tail in RATO order.
   {
     const obs::TraceSpan chain_span("reduction_chain", "baseline");
+    FlatTail tail;
     for (NetId n : rato_net_order(circuit)) {
       if (circuit.gate(n).type == GateType::kInput) continue;
       throw_if_stopped(options.control);
-      rw.substitute(n, gate_tail_bitpoly(field, circuit.gate(n)));
+      fill_gate_tail(circuit.gate(n), tail);
+      rw.substitute(n, tail);
       ++res.substitutions;
       res.peak_terms = std::max(res.peak_terms, rw.num_terms());
     }

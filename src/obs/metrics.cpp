@@ -41,10 +41,6 @@ constexpr KnownMetric kKnownMetrics[] = {
     {"extract.words", MetricKind::kCounter},
     {"extract.substitutions", MetricKind::kCounter},
     {"extract.peak_terms", MetricKind::kGauge},
-    // Chunked substitution (abstraction/rewriter.cpp): shards dispatched and
-    // terms XOR-merged back from shard-local maps.
-    {"rewriter.shards", MetricKind::kCounter},
-    {"rewriter.merge_terms", MetricKind::kCounter},
     // Canonical-form equivalence (abstraction/equivalence.cpp)
     {"equivalence.checks", MetricKind::kCounter},
     // Ideal-membership baseline (baselines/ideal_membership.cpp)
@@ -102,8 +98,6 @@ constexpr const char* kKnownHistograms[] = {
     // Latency of one gate-tail substitution in the serial reduction chain
     // (microseconds; sampled, not exhaustive — see extractor.cpp).
     "rewriter.substitution_us",
-    // Terms drained from one shard-local map at a chunked-substitution merge.
-    "rewriter.merge_shard_terms",
     // Linear-probe chain length of sampled packed term-map lookups.
     "rewriter.probe_len",
     // Wall time of one isolated-worker attempt (milliseconds).

@@ -53,8 +53,8 @@
 namespace gfa::worker {
 
 // Version 3: varint/delta term encoding (see the layout comment). Version 2
-// files — fixed-width ids, snapshots already barrier-paced — are still read;
-// anything older is rejected.
+// files — fixed-width ids, snapshots taken at segment ends as in v3 — are
+// still read; anything older is rejected.
 inline constexpr std::uint32_t kCheckpointVersion = 3;
 inline constexpr std::uint32_t kMinReadableCheckpointVersion = 2;
 

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "abstraction/rewriter.h"
@@ -27,12 +26,9 @@ class BitPolyTest : public ::testing::Test {
 };
 
 TEST_F(BitPolyTest, MonoMulIsUnion) {
-  EXPECT_EQ(bitmono_mul(BitMono{0, 2}, BitMono{1, 2}), (BitMono{0, 1, 2}));
-  EXPECT_EQ(bitmono_mul(BitMono{}, BitMono{3}), (BitMono{3}));
-  EXPECT_EQ(bitmono_mul(BitMono{5}, BitMono{5}), (BitMono{5}));  // x² = x
-  // The legacy tier's union agrees.
-  EXPECT_EQ(bitmono_mul(LegacyBitMono{0, 2}, LegacyBitMono{1, 2}),
-            (LegacyBitMono{0, 1, 2}));
+  EXPECT_EQ(packed_mono_mul(BitMono{0, 2}, BitMono{1, 2}), (BitMono{0, 1, 2}));
+  EXPECT_EQ(packed_mono_mul(BitMono{}, BitMono{3}), (BitMono{3}));
+  EXPECT_EQ(packed_mono_mul(BitMono{5}, BitMono{5}), (BitMono{5}));  // x² = x
 }
 
 TEST_F(BitPolyTest, AdditionCancels) {
@@ -93,10 +89,10 @@ TEST_F(BitPolyTest, ToStringDeterministic) {
 
 TEST_F(BitPolyTest, RewriterSubstitutesOnlyMatchingTerms) {
   // r = α·x·y + z ; substitute x := z + 1 → α·y·z + α·y + z.
-  BackwardRewriter rw(field_, {true, true, true});
+  BackwardRewriter rw({true, true, true});
   rw.add({x_, y_}, field_.alpha());
   rw.add({z_}, field_.one());
-  rw.substitute(x_, var(z_) + one());
+  rw.substitute(x_, FlatTail{{BitMono{z_}, BitMono{}}});
   EXPECT_EQ(rw.num_terms(), 3u);
   EXPECT_EQ(rw.terms().at({y_, z_}), field_.alpha());
   EXPECT_EQ(rw.terms().at({y_}), field_.alpha());
@@ -105,130 +101,92 @@ TEST_F(BitPolyTest, RewriterSubstitutesOnlyMatchingTerms) {
 
 TEST_F(BitPolyTest, RewriterMultilinearCancellation) {
   // α·x·y with x := y + 1 is (y+1)·y = y² + y = 0 under x² = x.
-  BackwardRewriter rw(field_, {true, true, true});
+  BackwardRewriter rw({true, true, true});
   rw.add({x_, y_}, field_.alpha());
-  rw.substitute(x_, var(y_) + one());
+  rw.substitute(x_, FlatTail{{BitMono{y_}, BitMono{}}});
   EXPECT_EQ(rw.num_terms(), 0u);
 }
 
 TEST_F(BitPolyTest, RewriterHandlesCancellationThenReuse) {
-  BackwardRewriter rw(field_, {true, true, true});
+  BackwardRewriter rw({true, true, true});
   rw.add({x_}, field_.one());
   rw.add({x_}, field_.one());  // cancels to zero
   EXPECT_EQ(rw.num_terms(), 0u);
   rw.add({x_}, field_.alpha());  // re-created after cancellation
-  rw.substitute(x_, var(y_));
+  rw.substitute(x_, FlatTail{{BitMono{y_}}});
   EXPECT_EQ(rw.terms().at({y_}), field_.alpha());
 }
 
 TEST_F(BitPolyTest, RewriterBudget) {
-  BackwardRewriter rw(field_, {true, true, true}, /*max_terms=*/1);
+  BackwardRewriter rw({true, true, true}, /*max_terms=*/1);
   rw.add({x_}, field_.one());
   EXPECT_THROW(rw.add({y_}, field_.one()), RewriteBudgetExceeded);
 }
 
+/// The tail's value at a 0/1 assignment: the parity of its monomials whose
+/// variables are all set (every coefficient is implicitly 1).
+bool eval_tail(const FlatTail& tail, const std::vector<bool>& assign) {
+  bool sum = false;
+  for (const BitMono& m : tail.monos) {
+    bool all = true;
+    for (VarId v : m) all = all && assign[v];
+    sum ^= all;
+  }
+  return sum;
+}
+
 TEST_F(BitPolyTest, GateTailPolynomials) {
+  // fill_gate_tail against gate semantics on every point of {0,1}³ over the
+  // nets a, b, c; one scratch tail is reused, as the reduction chain does.
   Netlist nl;
   const NetId a = nl.add_input("a");
   const NetId b = nl.add_input("b");
-  auto tail = [&](GateType t, std::vector<NetId> fi) {
-    return gate_tail_bitpoly(field_, Netlist::Gate{t, std::move(fi), "g"});
-  };
-  // Evaluate each tail on all four (a, b) points against gate semantics.
+  const NetId c = nl.add_input("c");
+  using Fn = std::function<bool(bool, bool, bool)>;
   struct Case {
+    const char* what;
     GateType type;
-    bool expect[4];  // index = a + 2b
+    std::vector<NetId> fanins;
+    Fn expect;
+    std::size_t terms;  // distinct monomials in the tail
   };
   const Case cases[] = {
-      {GateType::kAnd, {false, false, false, true}},
-      {GateType::kOr, {false, true, true, true}},
-      {GateType::kXor, {false, true, true, false}},
-      {GateType::kNand, {true, true, true, false}},
-      {GateType::kNor, {true, false, false, false}},
-      {GateType::kXnor, {true, false, false, true}},
+      {"const0", GateType::kConst0, {}, [](bool, bool, bool) { return false; }, 0},
+      {"const1", GateType::kConst1, {}, [](bool, bool, bool) { return true; }, 1},
+      {"buf", GateType::kBuf, {a}, [](bool x, bool, bool) { return x; }, 1},
+      {"not", GateType::kNot, {a}, [](bool x, bool, bool) { return !x; }, 2},
+      {"and", GateType::kAnd, {a, b}, [](bool x, bool y, bool) { return x && y; }, 1},
+      {"nand", GateType::kNand, {b, a}, [](bool x, bool y, bool) { return !(x && y); }, 2},
+      {"or", GateType::kOr, {a, b}, [](bool x, bool y, bool) { return x || y; }, 3},
+      {"nor", GateType::kNor, {a, b}, [](bool x, bool y, bool) { return !(x || y); }, 4},
+      {"xor", GateType::kXor, {b, a}, [](bool x, bool y, bool) { return x != y; }, 2},
+      {"xnor", GateType::kXnor, {a, b}, [](bool x, bool y, bool) { return x == y; }, 3},
+      // Duplicated fanins: XOR cancels them in pairs, AND collapses them.
+      {"xor(a,b,a)", GateType::kXor, {a, b, a}, [](bool, bool y, bool) { return y; }, 1},
+      {"xor(a,a)", GateType::kXor, {a, a}, [](bool, bool, bool) { return false; }, 0},
+      {"and(b,a,b)", GateType::kAnd, {b, a, b}, [](bool x, bool y, bool) { return x && y; }, 1},
+      // A 3-input OR expands to every non-empty subset of its fanins.
+      {"or(c,a,b)", GateType::kOr, {c, a, b},
+       [](bool x, bool y, bool z) { return x || y || z; }, 7},
+      {"and(a,b,c)", GateType::kAnd, {a, b, c},
+       [](bool x, bool y, bool z) { return x && y && z; }, 1},
+      {"xor(a,b,c)", GateType::kXor, {a, b, c},
+       [](bool x, bool y, bool z) { return x ^ y ^ z; }, 3},
   };
-  for (const Case& c : cases) {
-    const BitPoly p = tail(c.type, {a, b});
-    for (int i = 0; i < 4; ++i) {
-      std::vector<bool> assign(2);
+  FlatTail tail;
+  for (const Case& t : cases) {
+    fill_gate_tail(Netlist::Gate{t.type, t.fanins, "g"}, tail);
+    EXPECT_EQ(tail.monos.size(), t.terms) << t.what;
+    for (int i = 0; i < 8; ++i) {
+      std::vector<bool> assign(3);
       assign[a] = i & 1;
       assign[b] = i & 2;
-      EXPECT_EQ(!p.eval(assign).is_zero(), c.expect[i])
-          << gate_type_name(c.type) << " at " << i;
+      assign[c] = i & 4;
+      EXPECT_EQ(eval_tail(tail, assign), t.expect(assign[a], assign[b], assign[c]))
+          << t.what << " at a=" << assign[a] << " b=" << assign[b]
+          << " c=" << assign[c];
     }
   }
-  EXPECT_EQ(tail(GateType::kNot, {a}), var(VarId{a}) + one());
-  EXPECT_EQ(tail(GateType::kBuf, {a}), var(VarId{a}));
-  EXPECT_TRUE(tail(GateType::kConst0, {}).is_zero());
-  EXPECT_EQ(tail(GateType::kConst1, {}), one());
-}
-
-// Distribution regressions for BitMonoHash (the splitmix64 mixer, applied to
-// the legacy vector monomials of the kVector tier). The term maps hash
-// monomials over *consecutive* net ids — exactly the adversarial input for
-// the old xor-whole-VarId FNV loop — so the tests bucket realistic monomial
-// populations by the bits an unordered_map (or a shard selector) would
-// actually consume. The packed tier's word-level hash has the same
-// regressions in packed_mono_test.cpp.
-
-/// Max bucket load over `buckets` power-of-two buckets selected by the hash
-/// bits starting at `shift`.
-template <typename Gen>
-std::size_t max_bucket_load(std::size_t n, std::size_t buckets, unsigned shift,
-                            Gen mono_of) {
-  BitMonoHash hash;
-  std::vector<std::size_t> load(buckets, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t h = hash(mono_of(i));
-    ++load[(h >> shift) & (buckets - 1)];
-  }
-  std::size_t max = 0;
-  for (std::size_t l : load) max = std::max(max, l);
-  return max;
-}
-
-TEST(BitMonoHashTest, ConsecutiveIdsSpreadAcrossAllHashBits) {
-  // 65536 single-variable monomials over consecutive ids into 1024 buckets:
-  // uniform expectation 64 per bucket; 128 allows ~8σ of slack. Checked on
-  // the low bits and on the high bits (the old hash left the top bits nearly
-  // constant for small ids).
-  const auto single = [](std::size_t i) { return LegacyBitMono{VarId(i)}; };
-  EXPECT_LT(max_bucket_load(65536, 1024, 0, single), 128u);
-  EXPECT_LT(max_bucket_load(65536, 1024, 54, single), 128u);
-}
-
-TEST(BitMonoHashTest, QuadraticMonomialsSpreadAcrossAllHashBits) {
-  // The {a_i, b_j} grid of a multiplier's partial products.
-  const auto pair = [](std::size_t i) {
-    const VarId a = VarId(i % 256), b = VarId(256 + i / 256);
-    return LegacyBitMono{a, b};
-  };
-  EXPECT_LT(max_bucket_load(65536, 1024, 0, pair), 128u);
-  EXPECT_LT(max_bucket_load(65536, 1024, 54, pair), 128u);
-}
-
-TEST(BitMonoHashTest, SingleBitFlipAvalanchesHalfTheOutput) {
-  // Flipping one input bit should flip ~32 output bits; the old single
-  // multiply left most high bits untouched for small ids.
-  BitMonoHash hash;
-  std::uint64_t total_flipped = 0;
-  const std::size_t trials = 4096;
-  for (std::size_t i = 0; i < trials; ++i) {
-    const VarId v = VarId(i);
-    const std::uint64_t h1 = hash(LegacyBitMono{v});
-    const std::uint64_t h2 = hash(LegacyBitMono{VarId(v ^ 1u)});
-    total_flipped += __builtin_popcountll(h1 ^ h2);
-  }
-  const double avg = static_cast<double>(total_flipped) / trials;
-  EXPECT_GT(avg, 28.0);
-  EXPECT_LT(avg, 36.0);
-}
-
-TEST(BitMonoHashTest, HashDependsOnEveryVariable) {
-  BitMonoHash hash;
-  EXPECT_NE(hash(LegacyBitMono{1, 2, 3}), hash(LegacyBitMono{1, 2, 4}));
-  EXPECT_NE(hash(LegacyBitMono{1, 2, 3}), hash(LegacyBitMono{0, 2, 3}));
-  EXPECT_NE(hash(LegacyBitMono{}), hash(LegacyBitMono{0}));
 }
 
 }  // namespace

@@ -167,7 +167,7 @@ TEST(PackedMonoTest, SpillPoolRecyclesBuffers) {
 }
 
 // ---------------------------------------------------------------------------
-// Hash quality — ports of the BitMonoHash regressions to the packed layout
+// Hash quality
 // ---------------------------------------------------------------------------
 
 template <typename Gen>
@@ -234,8 +234,8 @@ TEST(PackedMonoHashTest, HashDependsOnEveryVariableSlot) {
 }
 
 TEST(PackedMonoHashTest, AgreesWithFacadeHasher) {
-  // BitMonoHash over the packed tier must be PackedMono::hash — the term
-  // map and the polynomial facade must bucket identically.
+  // PackedMonoHash must be PackedMono::hash — the term map and any
+  // std::unordered_map keyed by PackedMono must bucket identically.
   const PackedMono m = make({4, 7});
   EXPECT_EQ(PackedMonoHash{}(m), static_cast<std::size_t>(m.hash()));
 }

@@ -1,9 +1,8 @@
-// Determinism suite for the parallel sharded reduction chain (rewriter.h):
-// the extracted canonical polynomial must be bit-identical at every pool
-// width, for both the chunked substitution inside one chain and the seed
-// sharding across sub-chains — including when a mid-chain fault unwinds a
-// run, and when a checkpoint saved at one thread count is resumed at
-// another. "Identical" here is exact: the same term set with the same
+// Determinism suite for the reduction chain (rewriter.h) and the parallel
+// word-level endgame around it: the extracted canonical polynomial must be
+// bit-identical at every pool width — including when a mid-chain fault
+// unwinds a run, and when a checkpoint saved at one thread count is resumed
+// at another. "Identical" here is exact: the same term set with the same
 // GF(2^k) coefficients, compared both structurally and via to_string.
 
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "abstraction/extractor.h"
-#include "abstraction/rewriter.h"
 #include "circuit/mastrovito.h"
 #include "circuit/montgomery.h"
 #include "util/fault_inject.h"
@@ -57,8 +55,9 @@ void expect_width_invariant(const Netlist& nl, const Gf2k& field) {
     EXPECT_TRUE(fn.g == ref.g) << "k=" << field.k() << " threads=" << threads;
     EXPECT_EQ(fn.g.to_string(fn.pool), ref_poly)
         << "k=" << field.k() << " threads=" << threads;
-    // The chain does the same work regardless of how it is sharded.
+    // The chain does the same work at every width.
     EXPECT_EQ(fn.stats.substitutions, ref.stats.substitutions);
+    EXPECT_EQ(fn.stats.peak_terms, ref.stats.peak_terms);
   }
 }
 
@@ -76,69 +75,6 @@ TEST(ReductionDeterminism, MontgomeryFlatIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ReductionDeterminism, ExplicitShardCountsAgreeWithTheSerialChain) {
-  // chain_shards overrides the auto width: 1 forces the serial chain, larger
-  // values force more sub-chains than the seed-capped auto choice would pick.
-  WidthGuard guard;
-  set_parallel_thread_count(4);
-  const Gf2k field = Gf2k::make(32);
-  const Netlist nl = make_mastrovito_multiplier(field);
-  ExtractionOptions options;
-  options.chain_shards = 1;
-  const WordFunction serial = extract_word_function(nl, field, options);
-  for (unsigned shards : {2u, 3u, 7u, 32u}) {
-    options.chain_shards = shards;
-    const WordFunction fn = extract_word_function(nl, field, options);
-    EXPECT_TRUE(fn.g == serial.g) << "chain_shards=" << shards;
-  }
-}
-
-TEST(ReductionDeterminism, ChunkedSubstitutionMatchesTheSerialExpansion) {
-  // Drive one substitution through the chunked path directly: enough pending
-  // terms to clear kChunkedSubstitutionMin, a multi-term tail, and
-  // coefficients chosen so cross-shard XOR cancellation actually happens.
-  WidthGuard guard;
-  const Gf2k field = Gf2k::make(16);
-  const unsigned n = 3 * kChunkedSubstitutionMin;  // 384 pending terms
-  const VarId v = 0;
-  std::vector<bool> substitutable(n + 8, true);
-
-  const auto fill = [&](BackwardRewriter& rw) {
-    for (unsigned i = 0; i < n; ++i) {
-      // {v, x_i} and a v-free sibling {x_i, y_j} (BitMonos are strictly
-      // increasing, so y lives above every x); alpha powers cycle so
-      // coefficients exercise the full field, not just 1.
-      rw.add({v, VarId(4 + i)}, field.alpha_pow(i % 13 + 1));
-      rw.add({VarId(4 + i), VarId(n + 4 + i % 4)}, field.one());
-    }
-    // A few terms designed to cancel against expansion products.
-    for (unsigned i = 0; i < n; i += 2)
-      rw.add({VarId(1), VarId(4 + i)}, field.alpha_pow(i % 13 + 1));
-  };
-  const BitPoly tail = [&]() {
-    BitPoly t(&field);
-    t.add_term({VarId(1)}, field.one());
-    t.add_term({VarId(2)}, field.alpha());
-    t.add_term({VarId(2), VarId(3)}, field.alpha_pow(5));
-    t.add_term({}, field.one());
-    return t;
-  }();
-
-  set_parallel_thread_count(1);
-  BackwardRewriter serial(field, substitutable);
-  fill(serial);
-  serial.substitute(v, tail);
-
-  set_parallel_thread_count(4);
-  BackwardRewriter chunked(field, substitutable);
-  fill(chunked);
-  ASSERT_GE(chunked.occurrences(v), kChunkedSubstitutionMin);
-  chunked.substitute(v, tail);
-
-  EXPECT_EQ(chunked.num_terms(), serial.num_terms());
-  EXPECT_TRUE(chunked.terms() == serial.terms());
-}
-
 TEST(ReductionDeterminism, CleanRerunAfterMidChainFaultIsIdentical) {
   if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
   Disarmer disarm;
@@ -151,7 +87,7 @@ TEST(ReductionDeterminism, CleanRerunAfterMidChainFaultIsIdentical) {
     set_parallel_thread_count(threads);
     // Kill the chain partway through (the 400th add lands mid-substitution);
     // the failure must unwind as a clean status, and a rerun in the same
-    // process must not be perturbed by the aborted shards.
+    // process must not be perturbed by the aborted run.
     ASSERT_TRUE(fault::arm("oom:rewriter.add", 400).ok());
     const Result<WordFunction> interrupted =
         try_extract_word_function(nl, field);
@@ -184,13 +120,11 @@ TEST(ReductionDeterminism, ResumeOnADifferentThreadCountMatches) {
   options.control = &control;
   options.checkpoint = &ck;
 
-  // Save under a 2-thread chain (snapshots only happen at merge barriers,
-  // where the sharded state equals the serial state)... The sharded chain
-  // polls the cancel point once per shard per segment rather than per gate,
-  // so the skip count is small: ~30 polls lands a few thousand gates in,
-  // after many barrier saves but far from the chain's end.
+  // Save under a 2-thread pool... The chain polls the cancel point once per
+  // gate on the calling thread, so the 2000th poll lands on gate 2000 at
+  // every width: after 19 periodic saves, far from the chain's end.
   set_parallel_thread_count(2);
-  ASSERT_TRUE(fault::arm("cancel:checkpoint", 30).ok());
+  ASSERT_TRUE(fault::arm("cancel:checkpoint", 2000).ok());
   const Result<WordFunction> interrupted =
       try_extract_word_function(nl, field, options);
   ASSERT_FALSE(interrupted.ok());
@@ -201,9 +135,7 @@ TEST(ReductionDeterminism, ResumeOnADifferentThreadCountMatches) {
   ASSERT_TRUE(worker::load_checkpoint(path).ok())
       << "no checkpoint survived the interruption";
 
-  // ...and resume under an 8-thread chain: the loaded terms are re-sharded
-  // round-robin, so the partition differs from the one that saved — the
-  // polynomial must not.
+  // ...and resume under an 8-thread pool: the polynomial must not change.
   set_parallel_thread_count(8);
   ck.resume = true;
   const Result<WordFunction> resumed =
