@@ -3,8 +3,8 @@
 //   1. Word-lift fast path: the bilinear Cᵀ·Q·C matrix triple product versus
 //      the general monomial-by-monomial expansion, on the same Mastrovito
 //      remainder (O(k³) vs O(k⁴) field multiplications).
-//   2. Shared vs per-call Frobenius basis-change construction (the O(k³)
-//      Gauss–Jordan inversion amortized across the four Montgomery blocks).
+//   2. Frobenius basis-change construction: the O(k²) trace-dual closed
+//      form, across the NIST ladder.
 //   3. Hierarchical versus flattened verification of the same Montgomery
 //      multiplier (the paper's Table 2-vs-Table 1 flow distinction).
 
@@ -64,7 +64,8 @@ void BM_LiftGeneralPath(benchmark::State& state) {
 }
 
 void BM_WordLiftConstruction(benchmark::State& state) {
-  // The O(k³) Gauss–Jordan inversion that shared_lift amortizes.
+  // The trace-dual closed form: O(k²) field operations plus one k×k
+  // inversion over F_2.
   const gfa::Gf2k field = gfa::Gf2k::make(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
     const gfa::WordLift lift(&field);
@@ -76,12 +77,9 @@ void BM_EngineIndexed(benchmark::State& state) {
   // Per-variable substitution through the occurrence index.
   const gfa::Gf2k field = gfa::Gf2k::make(static_cast<unsigned>(state.range(0)));
   const gfa::Netlist nl = make_mastrovito_multiplier(field);
-  const gfa::WordLift lift(&field);
-  gfa::ExtractionOptions options;
-  options.shared_lift = &lift;
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        gfa::extract_word_function(nl, field, options).g.num_terms());
+        gfa::extract_word_function(nl, field).g.num_terms());
 }
 
 void BM_VerifyHierarchical(benchmark::State& state) {
@@ -118,7 +116,7 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark("Ablation/LiftGeneral", BM_LiftGeneralPath)
         ->Arg(static_cast<int>(k))->Unit(benchmark::kMillisecond)->Iterations(1);
   }
-  for (unsigned k : gfa::bench::ladder({32, 64, 128}, 128)) {
+  for (unsigned k : gfa::bench::ladder({32, 64, 128}, 571)) {
     benchmark::RegisterBenchmark("Ablation/WordLiftBuild", BM_WordLiftConstruction)
         ->Arg(static_cast<int>(k))->Unit(benchmark::kMillisecond)->Iterations(1);
   }

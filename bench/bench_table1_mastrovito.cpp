@@ -16,7 +16,6 @@
 #include <chrono>
 
 #include "abstraction/extractor.h"
-#include "abstraction/word_lift.h"
 #include "circuit/mastrovito.h"
 #include "obs/trace.h"
 #include "bench_util.h"
@@ -32,10 +31,6 @@ void BM_MastrovitoAbstraction(benchmark::State& state) {
   const unsigned k = static_cast<unsigned>(state.range(0));
   const gfa::Gf2k field = gfa::Gf2k::make(k);
   const gfa::Netlist netlist = make_mastrovito_multiplier(field);
-  const gfa::WordLift lift(&field);
-  gfa::ExtractionOptions options;
-  options.shared_lift = &lift;
-
   gfa::ExtractionStats stats;
   double wall_ms = 0;
   bool is_ab = false;
@@ -44,7 +39,7 @@ void BM_MastrovitoAbstraction(benchmark::State& state) {
     gfa::obs::Tracer::instance().clear();
     const auto t0 = std::chrono::steady_clock::now();
     const gfa::WordFunction fn =
-        gfa::extract_word_function(netlist, field, options);
+        gfa::extract_word_function(netlist, field);
     wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
@@ -100,11 +95,8 @@ int main(int argc, char** argv) {
     const unsigned k = sizes.back();
     const gfa::Gf2k field = gfa::Gf2k::make(k);
     const gfa::Netlist netlist = make_mastrovito_multiplier(field);
-    const gfa::WordLift lift(&field);
-    gfa::ExtractionOptions options;
-    options.shared_lift = &lift;
     gfa::bench::add_scaling_records(reporter(), "Table1/ScalingReductionChain",
-                                    field, netlist, options);
+                                    field, netlist);
   }
   reporter().write();
   return 0;

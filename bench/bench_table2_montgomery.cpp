@@ -18,7 +18,6 @@
 #include <string>
 
 #include "abstraction/hierarchy.h"
-#include "abstraction/word_lift.h"
 #include "circuit/montgomery.h"
 #include "obs/trace.h"
 #include "bench_util.h"
@@ -44,11 +43,8 @@ const gfa::Netlist& block_of(const gfa::MontgomeryHierarchy& h, int which) {
 struct PerField {
   gfa::Gf2k field;
   gfa::MontgomeryHierarchy hierarchy;
-  gfa::WordLift lift;
   explicit PerField(unsigned k)
-      : field(gfa::Gf2k::make(k)),
-        hierarchy(make_montgomery_hierarchy(field)),
-        lift(&field) {}
+      : field(gfa::Gf2k::make(k)), hierarchy(make_montgomery_hierarchy(field)) {}
 };
 
 PerField& cached(unsigned k) {
@@ -61,8 +57,6 @@ PerField& cached(unsigned k) {
 void BM_MontgomeryBlock(benchmark::State& state) {
   PerField& pf = cached(static_cast<unsigned>(state.range(0)));
   const gfa::Netlist& blk = block_of(pf.hierarchy, static_cast<int>(state.range(1)));
-  gfa::ExtractionOptions options;
-  options.shared_lift = &pf.lift;
   gfa::ExtractionStats stats;
   double wall_ms = 0;
   std::vector<std::pair<std::string, double>> phases;
@@ -70,7 +64,7 @@ void BM_MontgomeryBlock(benchmark::State& state) {
     gfa::obs::Tracer::instance().clear();
     const auto t0 = std::chrono::steady_clock::now();
     const gfa::WordFunction fn =
-        gfa::extract_word_function(blk, pf.field, options);
+        gfa::extract_word_function(blk, pf.field);
     wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
@@ -95,8 +89,6 @@ void BM_MontgomeryTotal(benchmark::State& state) {
   // Full hierarchical flow: all four blocks + word-level composition, and the
   // final check that the composed polynomial is A·B.
   PerField& pf = cached(static_cast<unsigned>(state.range(0)));
-  gfa::ExtractionOptions options;
-  options.shared_lift = &pf.lift;
   bool is_ab = false;
   double wall_ms = 0;
   std::vector<std::pair<std::string, double>> phases;
@@ -104,7 +96,7 @@ void BM_MontgomeryTotal(benchmark::State& state) {
     gfa::obs::Tracer::instance().clear();
     const auto t0 = std::chrono::steady_clock::now();
     const gfa::HierarchicalAbstraction ha =
-        abstract_montgomery(pf.hierarchy, pf.field, options);
+        abstract_montgomery(pf.hierarchy, pf.field);
     wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
@@ -165,10 +157,8 @@ int main(int argc, char** argv) {
   // dominant share of the chain), with the cross-width determinism check.
   if (!sizes.empty()) {
     PerField& pf = cached(sizes.back());
-    gfa::ExtractionOptions options;
-    options.shared_lift = &pf.lift;
     gfa::bench::add_scaling_records(reporter(), "Table2/ScalingReductionChain",
-                                    pf.field, pf.hierarchy.blk_mid, options);
+                                    pf.field, pf.hierarchy.blk_mid);
   }
   reporter().write();
   return 0;

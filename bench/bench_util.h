@@ -166,15 +166,14 @@ class JsonReporter {
 /// polynomial that differs across widths aborts the bench.
 /// Restores the pool width it found.
 inline void add_scaling_records(JsonReporter& reporter, const std::string& name,
-                                const Gf2k& field, const Netlist& netlist,
-                                const ExtractionOptions& base_options) {
+                                const Gf2k& field, const Netlist& netlist) {
   const unsigned restore = parallel_thread_count();
   std::optional<MPoly> reference;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     set_parallel_thread_count(threads);
     obs::Tracer::instance().clear();
     const auto t0 = std::chrono::steady_clock::now();
-    const WordFunction fn = extract_word_function(netlist, field, base_options);
+    const WordFunction fn = extract_word_function(netlist, field);
     const double wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - t0)
                                .count();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <optional>
 #include <stdexcept>
 
 #include "abstraction/bitpoly.h"
@@ -288,12 +287,6 @@ WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
   report_phase("case2_lift", 0, 0, r.num_terms(), options.control);
   if (stats.case1) {
     result.g = MPoly::constant(&field, r.coeff(BitMono{}));
-  } else if (options.shared_lift != nullptr) {
-    if (options.basis != nullptr &&
-        options.shared_lift->basis() != *options.basis)
-      throw std::invalid_argument("shared_lift built for a different basis");
-    result.g = options.shared_lift->lift(r, bindings, result.pool,
-                                         options.control);
   } else {
     const WordLift lift(&field, options.basis, options.control);
     result.g = lift.lift(r, bindings, result.pool, options.control);
@@ -327,19 +320,13 @@ WordFunction extract_word_function_for(const Netlist& netlist, const Gf2k& field
 
 std::vector<WordFunction> extract_all_word_functions(
     const Netlist& netlist, const Gf2k& field, const ExtractionOptions& options) {
-  ExtractionOptions local = options;
-  std::optional<WordLift> owned_lift;
-  if (local.shared_lift == nullptr) {
-    owned_lift.emplace(&field, local.basis, local.control);
-    local.shared_lift = &*owned_lift;
-  }
-  // Output words are independent once the lift is shared; abstract them
-  // concurrently (each extraction builds its own rewriter and pool).
+  // Output words are independent; abstract them concurrently (each
+  // extraction builds its own rewriter, pool and lift).
   const std::vector<const Word*> outs = output_words(netlist);
   std::vector<WordFunction> out(outs.size());
   parallel_for(outs.size(), [&](std::size_t i) {
-    out[i] = extract_for_word(netlist, field, outs[i], local);
-  }, local.control);
+    out[i] = extract_for_word(netlist, field, outs[i], options);
+  }, options.control);
   return out;
 }
 

@@ -36,8 +36,6 @@
 
 namespace gfa {
 
-class WordLift;
-
 /// Checkpoint/resume of the backward-rewriting chain (storage format and
 /// integrity rules in src/worker/checkpoint.h). Progress is saved every
 /// `interval` substitution steps under `directory`, keyed by the circuit's
@@ -56,11 +54,6 @@ struct ExtractionOptions {
   /// Abort when the intermediate polynomial exceeds this many terms
   /// (0 = unlimited). Tripping raises ExtractionBudgetExceeded.
   std::size_t max_terms = 0;
-  /// Reuse a precomputed Frobenius basis-change (see word_lift.h). Building
-  /// it is O(k³) field operations, so callers abstracting several circuits
-  /// over one field (the hierarchical flow, the benches) share one. Must have
-  /// been built for the same word basis as `basis` below.
-  const WordLift* shared_lift = nullptr;
   /// The basis interpreting every word's bits: A = Σ a_i·basis[i]. Null means
   /// the polynomial basis {α^i}; pass a NormalBasis::basis() for circuits
   /// whose words are normal-basis coordinates (e.g. Massey–Omura multipliers).
@@ -110,7 +103,7 @@ WordFunction extract_word_function_for(const Netlist& netlist, const Gf2k& field
                                        const ExtractionOptions& options = {});
 
 /// Abstracts every output word; one WordFunction per word, in declaration
-/// order. The Frobenius basis change is built once and shared.
+/// order.
 std::vector<WordFunction> extract_all_word_functions(
     const Netlist& netlist, const Gf2k& field,
     const ExtractionOptions& options = {});

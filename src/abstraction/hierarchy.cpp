@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "abstraction/word_lift.h"
 #include "util/parallel_for.h"
 #include "util/resource_budget.h"
 
@@ -62,11 +61,6 @@ HierarchicalAbstraction abstract_hierarchy(const WordSignalGraph& graph,
   for (const std::string& name : graph.primary_inputs)
     signal.emplace(name, MPoly::variable(&field, composed.pool.id(name)));
 
-  // One basis-change matrix serves every block over this field.
-  const WordLift lift(&field);
-  ExtractionOptions block_options = options;
-  if (block_options.shared_lift == nullptr) block_options.shared_lift = &lift;
-
   // A block netlist instantiated several times (e.g. the shared multiplier of
   // an Itoh–Tsujii chain) is abstracted once. The unique blocks (the Fig. 1
   // blocks of a Montgomery multiplier) are mutually independent, so they are
@@ -93,7 +87,7 @@ HierarchicalAbstraction abstract_hierarchy(const WordSignalGraph& graph,
   std::vector<ExecControl> block_controls(unique_blocks.size());
   std::vector<WordFunction> block_fns(unique_blocks.size());
   parallel_for(unique_blocks.size(), [&](std::size_t i) {
-    ExtractionOptions o = block_options;
+    ExtractionOptions o = options;
     if (slice != 0) {
       block_budgets[i].emplace(slice);
       block_controls[i] = *options.control;

@@ -1,5 +1,6 @@
 #include "abstraction/word_lift.h"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 #include <stdexcept>
@@ -11,68 +12,68 @@
 
 namespace gfa {
 
-namespace {
-
-/// Inverts a k×k matrix over F_{2^k} by Gauss–Jordan elimination. The row
-/// eliminations per pivot column are independent and run on the pool.
-std::vector<std::vector<Gf2k::Elem>> invert(
-    const Gf2k& field, std::vector<std::vector<Gf2k::Elem>> m,
-    const ExecControl* control) {
-  const std::size_t k = m.size();
-  std::vector<std::vector<Gf2k::Elem>> inv(k, std::vector<Gf2k::Elem>(k));
-  for (std::size_t i = 0; i < k; ++i) inv[i][i] = field.one();
-
-  for (std::size_t col = 0; col < k; ++col) {
-    throw_if_stopped(control);
-    std::size_t pivot = col;
-    while (pivot < k && m[pivot][col].is_zero()) ++pivot;
-    if (pivot == k) throw std::logic_error("basis-change matrix is singular");
-    std::swap(m[pivot], m[col]);
-    std::swap(inv[pivot], inv[col]);
-    const Gf2k::Elem s = field.inv(m[col][col]);
-    for (std::size_t j = 0; j < k; ++j) {
-      m[col][j] = field.mul(m[col][j], s);
-      inv[col][j] = field.mul(inv[col][j], s);
-    }
-    parallel_for(k, [&](std::size_t row) {
-      if (row == col || m[row][col].is_zero()) return;
-      const Gf2k::Elem f = m[row][col];
-      for (std::size_t j = 0; j < k; ++j) {
-        m[row][j] += field.mul(f, m[col][j]);    // char 2: subtract == add
-        inv[row][j] += field.mul(f, inv[col][j]);
-      }
-    }, control);
-  }
-  return inv;
-}
-
-}  // namespace
-
 WordLift::WordLift(const Gf2k* field, const std::vector<Elem>* basis,
                    const ExecControl* control)
     : field_(field) {
   const obs::TraceSpan span("frobenius_basis_change", "abstraction");
   const unsigned k = field_->k();
-  if (basis != nullptr) {
-    assert(basis->size() == k && "word basis must have k elements");
-    basis_ = *basis;
-  } else {
-    basis_.reserve(k);
-    for (unsigned i = 0; i < k; ++i)
-      basis_.push_back(field_->alpha_pow(std::uint64_t{i}));
+  assert((basis == nullptr || basis->size() == k) &&
+         "word basis must have k elements");
+  std::vector<Elem> b(k);
+  for (unsigned i = 0; i < k; ++i)
+    b[i] = basis != nullptr ? field_->reduce((*basis)[i])
+                            : field_->alpha_pow(std::uint64_t{i});
+
+  // Bit m of `trace_mask` is Tr(α^m) (k² squarings), so Tr(x) is the parity
+  // of x's polynomial coordinates under the mask.
+  Gf2Poly trace_mask;
+  for (unsigned m = 0; m < k; ++m) {
+    Elem x = field_->alpha_pow(std::uint64_t{m});
+    Elem tr = x;
+    for (unsigned j = 1; j < k; ++j) {
+      x = field_->square(x);
+      tr += x;
+    }
+    assert((tr.is_zero() || tr.is_one()) && "trace must lie in F_2");
+    if (tr.is_one()) trace_mask.set_coeff(m, true);
   }
-  // M[j][i] = basis[i]^{2^j}, built column-wise by iterated squaring —
-  // k² field squarings.
-  std::vector<std::vector<Elem>> m(k, std::vector<Elem>(k));
+  const auto trace = [&](const Elem& x) {
+    const auto& xw = x.words();
+    const auto& tw = trace_mask.words();
+    int parity = 0;
+    for (std::size_t w = 0; w < std::min(xw.size(), tw.size()); ++w)
+      parity ^= __builtin_parityll(xw[w] & tw[w]);
+    return parity != 0;
+  };
+
+  // The trace matrix T[i][l] = Tr(b_i·b_l), as GF(2) bit rows (symmetric,
+  // k²/2 products). It is invertible exactly when b is a basis.
+  std::vector<Gf2Poly> t(k);
   for (unsigned i = 0; i < k; ++i) {
-    Elem cur = field_->reduce(basis_[i]);
-    for (unsigned j = 0; j < k; ++j) {
-      m[j][i] = cur;
-      cur = field_->square(cur);
+    throw_if_stopped(control);
+    for (unsigned l = i; l < k; ++l) {
+      if (!trace(field_->mul(b[i], b[l]))) continue;
+      t[i].set_coeff(l, true);
+      t[l].set_coeff(i, true);
     }
   }
-  // a = C · (A^{2^j})_j needs C = M^{-1}, with rows indexed by bit position i.
-  c_ = invert(*field_, std::move(m), control);
+  const std::vector<Gf2Poly> t_inv = invert_gf2(std::move(t), k);
+  if (t_inv.empty())
+    throw std::invalid_argument("word basis is not linearly independent");
+
+  // β_i = Σ_l (T⁻¹)[i][l]·b_l is the trace-dual basis: Tr(β_i·b_l) = δ_il,
+  // so a_i = Tr(β_i·A) = Σ_j β_i^{2^j}·A^{2^j}, i.e. C[i][j] = β_i^{2^j}.
+  c_.assign(k, std::vector<Elem>(k));
+  for (unsigned i = 0; i < k; ++i) {
+    throw_if_stopped(control);
+    Elem beta;
+    for (unsigned l = 0; l < k; ++l)
+      if (t_inv[i].coeff(l)) beta += b[l];
+    for (unsigned j = 0; j < k; ++j) {
+      c_[i][j] = beta;
+      beta = field_->square(beta);
+    }
+  }
 }
 
 MPoly WordLift::lift(const BitPoly& r, const std::vector<WordBinding>& words,
@@ -120,9 +121,12 @@ MPoly WordLift::lift_bilinear(const BitPoly& r,
     } else if (m.size() == 1) {
       const auto it = loc.find(m[0]);
       if (it == loc.end()) throw std::logic_error("unbound bit variable in remainder");
-      auto& vec = linear.try_emplace(it->second.word_index,
-                                     std::vector<Elem>(k)).first->second;
-      vec[it->second.bit_index] += c;
+      // Find before emplace: a k-vector (k×k matrix below) temporary per
+      // term would build O(k²) elements per word (O(k⁴) per word pair).
+      auto vit = linear.find(it->second.word_index);
+      if (vit == linear.end())
+        vit = linear.emplace(it->second.word_index, std::vector<Elem>(k)).first;
+      vit->second[it->second.bit_index] += c;
     } else {
       const auto it0 = loc.find(m[0]);
       const auto it1 = loc.find(m[1]);
@@ -130,11 +134,12 @@ MPoly WordLift::lift_bilinear(const BitPoly& r,
         throw std::logic_error("unbound bit variable in remainder");
       BitLocation l0 = it0->second, l1 = it1->second;
       if (l0.word_index > l1.word_index) std::swap(l0, l1);
-      auto& q = quad.try_emplace(std::make_pair(l0.word_index, l1.word_index),
-                                 std::vector<std::vector<Elem>>(
-                                     k, std::vector<Elem>(k)))
-                    .first->second;
-      q[l0.bit_index][l1.bit_index] += c;
+      const auto key = std::make_pair(l0.word_index, l1.word_index);
+      auto qit = quad.find(key);
+      if (qit == quad.end())
+        qit = quad.emplace(key, std::vector<std::vector<Elem>>(
+                                    k, std::vector<Elem>(k))).first;
+      qit->second[l0.bit_index][l1.bit_index] += c;
     }
   }
 

@@ -8,9 +8,10 @@
 // is linear in the bits, that Gröbner-basis step is exactly a linear basis
 // change: applying Frobenius j times to f_wi gives A^{2^j} = Σ_i a_i·α^{i·2^j}
 // (bits are F_2-valued, so a_i^{2^j} = a_i), i.e. the power vector
-// (A, A², A⁴, …) is M·(a_0 … a_{k-1}) with M_{j,i} = α^{i·2^j}. M is
-// invertible (both sides are bases of F_{2^k} as an F_2 space of functions),
-// so  a_i = Σ_j C_{i,j}·A^{2^j}  with C = M^{-1}.
+// (A, A², A⁴, …) is M·(a_0 … a_{k-1}) with M_{j,i} = α^{i·2^j}. Its inverse
+// C has a closed form (Lidl–Niederreiter, Finite Fields, §2.3): with {β_i}
+// the trace-dual basis of the word basis {b_l}, Tr(β_i·b_l) = δ_il, each bit is
+// a_i = Tr(β_i·A) = Σ_j β_i^{2^j}·A^{2^j}, so C_{i,j} = β_i^{2^j}.
 //
 // Substituting this expansion into r and reducing exponents by X^q ≡ X yields
 // the canonical word-level polynomial directly. A bilinear fast path handles
@@ -29,19 +30,18 @@ class WordLift {
  public:
   using Elem = Gf2k::Elem;
 
-  /// Precomputes C = M^{-1} for the field (O(k³) field operations). `basis`
-  /// gives the word interpretation A = Σ a_i·basis[i]; by default the
+  /// Builds C from the trace-dual basis in O(k²) field operations: the
+  /// trace matrix T_{i,l} = Tr(b_i·b_l) is inverted over F_2, giving
+  /// β_i = Σ_l (T⁻¹)_{i,l}·b_l, and C_{i,j} = β_i^{2^j} by repeated squaring.
+  /// `basis` gives the word interpretation A = Σ a_i·basis[i]; by default the
   /// polynomial basis {α^i}. A normal basis (gf/normal_basis.h) plugs in here,
-  /// which is what makes cross-representation equivalence checks work: M
-  /// becomes M_{j,i} = basis[i]^{2^j} and everything downstream is unchanged.
-  /// `control` bounds the O(k³) matrix inversion (checkpointed per pivot
-  /// column and per pool chunk); expiry unwinds via StatusError.
+  /// which is what makes cross-representation equivalence checks work;
+  /// everything downstream is unchanged. Throws std::invalid_argument if
+  /// `basis` is not linearly independent. `control` is checkpointed once per
+  /// row; expiry unwinds via StatusError.
   explicit WordLift(const Gf2k* field,
                     const std::vector<Elem>* basis = nullptr,
                     const ExecControl* control = nullptr);
-
-  /// The word basis this lift was built for.
-  const std::vector<Elem>& basis() const { return basis_; }
 
   /// The expansion matrix: bit i of a word W satisfies
   /// w_i = Σ_j matrix()[i][j] · W^{2^j}.
@@ -67,7 +67,6 @@ class WordLift {
                      const VarPool& pool, const ExecControl* control) const;
 
   const Gf2k* field_;
-  std::vector<Elem> basis_;
   std::vector<std::vector<Elem>> c_;  // k×k inverse basis-change matrix
 };
 

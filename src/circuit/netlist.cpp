@@ -96,44 +96,71 @@ const Word* Netlist::find_word(std::string_view name) const {
   return nullptr;
 }
 
-std::vector<NetId> Netlist::topological_order() const {
-  // Kahn's algorithm over the fanin relation.
-  std::vector<unsigned> pending(gates_.size(), 0);
-  std::vector<std::vector<NetId>> fanouts(gates_.size());
-  for (NetId n = 0; n < gates_.size(); ++n) {
-    pending[n] = static_cast<unsigned>(gates_[n].fanins.size());
-    for (NetId f : gates_[n].fanins) fanouts[f].push_back(n);
-  }
+namespace {
+
+/// The fanout relation in compressed-sparse-row form: the fanouts of net n
+/// are targets[offsets[n] .. offsets[n+1]), in increasing net order (a gate
+/// listing the same fanin twice appears twice).
+struct Fanouts {
+  std::vector<std::size_t> offsets;
+  std::vector<NetId> targets;
+};
+
+Fanouts build_fanouts(const std::vector<Netlist::Gate>& gates) {
+  Fanouts out;
+  out.offsets.assign(gates.size() + 1, 0);
+  for (const Netlist::Gate& g : gates)
+    for (NetId f : g.fanins) ++out.offsets[f + 1];
+  for (std::size_t n = 0; n < gates.size(); ++n)
+    out.offsets[n + 1] += out.offsets[n];
+  out.targets.resize(out.offsets.back());
+  std::vector<std::size_t> next(out.offsets.begin(), out.offsets.end() - 1);
+  for (NetId n = 0; n < gates.size(); ++n)
+    for (NetId f : gates[n].fanins) out.targets[next[f]++] = n;
+  return out;
+}
+
+/// Kahn's algorithm over the fanin relation, with a FIFO of ready nets for
+/// a deterministic, stable order.
+std::vector<NetId> kahn_order(const std::vector<Netlist::Gate>& gates,
+                              const Fanouts& fanouts) {
+  std::vector<unsigned> pending(gates.size(), 0);
+  for (NetId n = 0; n < gates.size(); ++n)
+    pending[n] = static_cast<unsigned>(gates[n].fanins.size());
   std::vector<NetId> order;
-  order.reserve(gates_.size());
-  std::vector<NetId> ready;  // processed FIFO for deterministic, stable order
-  for (NetId n = 0; n < gates_.size(); ++n)
-    if (pending[n] == 0) ready.push_back(n);
-  for (std::size_t head = 0; head < ready.size(); ++head) {
-    const NetId n = ready[head];
-    order.push_back(n);
-    for (NetId fo : fanouts[n]) {
-      if (--pending[fo] == 0) ready.push_back(fo);
+  order.reserve(gates.size());
+  for (NetId n = 0; n < gates.size(); ++n)
+    if (pending[n] == 0) order.push_back(n);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const NetId n = order[head];
+    for (std::size_t e = fanouts.offsets[n]; e < fanouts.offsets[n + 1]; ++e) {
+      const NetId fo = fanouts.targets[e];
+      if (--pending[fo] == 0) order.push_back(fo);
     }
   }
-  if (order.size() != gates_.size())
+  if (order.size() != gates.size())
     throw std::logic_error("netlist contains a combinational cycle");
   return order;
 }
 
+}  // namespace
+
+std::vector<NetId> Netlist::topological_order() const {
+  return kahn_order(gates_, build_fanouts(gates_));
+}
+
 std::vector<unsigned> Netlist::reverse_topological_levels() const {
-  const std::vector<NetId> topo = topological_order();
+  const Fanouts fanouts = build_fanouts(gates_);
+  const std::vector<NetId> topo = kahn_order(gates_, fanouts);
   std::vector<unsigned> level(gates_.size(), 0);
   // Walk anti-topologically: a net's reverse level is 1 + max over fanouts.
   // Outputs anchor at 0; nets feeding nothing also get 0 and then dominate
   // nothing, which keeps them below their fanins as required.
-  std::vector<std::vector<NetId>> fanouts(gates_.size());
-  for (NetId n = 0; n < gates_.size(); ++n)
-    for (NetId f : gates_[n].fanins) fanouts[f].push_back(n);
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const NetId n = *it;
     unsigned lv = 0;
-    for (NetId fo : fanouts[n]) lv = std::max(lv, level[fo] + 1);
+    for (std::size_t e = fanouts.offsets[n]; e < fanouts.offsets[n + 1]; ++e)
+      lv = std::max(lv, level[fanouts.targets[e]] + 1);
     level[n] = lv;
   }
   return level;

@@ -2,8 +2,8 @@
 // Tiered fast-arithmetic kernels behind Gf2k (see gf/gf2k.h).
 //
 // Every coefficient operation of the abstraction engine — the RATO
-// substitution chain, the O(k³) Frobenius basis-change transforms of the word
-// lift, the Gauss–Jordan inversion — bottoms out in F_{2^k} multiplication.
+// substitution chain, the Frobenius basis change and the O(k³) Cᵀ·Q·C
+// transforms of the word lift — bottoms out in F_{2^k} multiplication.
 // The generic path (schoolbook carry-less multiply followed by long division
 // in Gf2Poly) allocates on every step; at the NIST sizes that is millions of
 // heap round-trips on the critical path. This module replaces it with three

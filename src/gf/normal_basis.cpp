@@ -6,27 +6,6 @@ namespace gfa {
 
 namespace {
 
-/// Inverts a k×k GF(2) matrix given as bit rows (bit j of rows[i] = M[i][j]).
-/// Returns empty when singular.
-std::vector<Gf2Poly> invert_gf2(std::vector<Gf2Poly> rows, unsigned k) {
-  std::vector<Gf2Poly> inv(k);
-  for (unsigned i = 0; i < k; ++i) inv[i] = Gf2Poly::monomial(i);
-  for (unsigned col = 0; col < k; ++col) {
-    unsigned pivot = col;
-    while (pivot < k && !rows[pivot].coeff(col)) ++pivot;
-    if (pivot == k) return {};
-    std::swap(rows[pivot], rows[col]);
-    std::swap(inv[pivot], inv[col]);
-    for (unsigned r = 0; r < k; ++r) {
-      if (r != col && rows[r].coeff(col)) {
-        rows[r] += rows[col];
-        inv[r] += inv[col];
-      }
-    }
-  }
-  return inv;
-}
-
 std::uint64_t splitmix(std::uint64_t& s) {
   s += 0x9E3779B97F4A7C15ull;
   std::uint64_t z = s;

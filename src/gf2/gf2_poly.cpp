@@ -236,6 +236,25 @@ std::string Gf2Poly::to_string() const {
   return out;
 }
 
+std::vector<Gf2Poly> invert_gf2(std::vector<Gf2Poly> rows, unsigned k) {
+  std::vector<Gf2Poly> inv(k);
+  for (unsigned i = 0; i < k; ++i) inv[i] = Gf2Poly::monomial(i);
+  for (unsigned col = 0; col < k; ++col) {
+    unsigned pivot = col;
+    while (pivot < k && !rows[pivot].coeff(col)) ++pivot;
+    if (pivot == k) return {};
+    std::swap(rows[pivot], rows[col]);
+    std::swap(inv[pivot], inv[col]);
+    for (unsigned r = 0; r < k; ++r) {
+      if (r != col && rows[r].coeff(col)) {
+        rows[r] += rows[col];
+        inv[r] += inv[col];
+      }
+    }
+  }
+  return inv;
+}
+
 std::size_t Gf2Poly::hash() const {
   // FNV-1a over the packed words.
   std::size_t h = 1469598103934665603ull;

@@ -115,4 +115,9 @@ struct Gf2Poly::ExtGcd {
   Gf2Poly t;
 };
 
+/// Inverts a k×k matrix over GF(2) given as bit rows (bit j of rows[i] is
+/// M[i][j]) by Gauss–Jordan elimination; the result uses the same layout.
+/// Returns empty when the matrix is singular.
+std::vector<Gf2Poly> invert_gf2(std::vector<Gf2Poly> rows, unsigned k);
+
 }  // namespace gfa

@@ -1,7 +1,7 @@
 #pragma once
 // Minimal shared thread pool for the embarrassingly parallel loops of the
-// abstraction pipeline (the O(k³) basis-change transforms of the word lift,
-// per-output-word extraction, concurrent spec/impl abstraction).
+// abstraction pipeline (the O(k³) Cᵀ·Q·C transforms of the word lift,
+// per-output-word extraction, concurrent hierarchy blocks).
 //
 // Semantics:
 //   * parallel_for(n, fn) runs fn(i) for every i in [0, n), blocking until

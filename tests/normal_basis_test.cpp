@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "abstraction/equivalence.h"
-#include "abstraction/word_lift.h"
 #include "baselines/interpolation.h"
 #include "circuit/massey_omura.h"
 #include "circuit/mastrovito.h"
@@ -161,18 +160,6 @@ TEST(MasseyOmura, NormalBasisSquarerAbstracts) {
   MPoly expect(&field);
   expect.add_term(Monomial(fn.pool.id("A"), BigUint(2)), field.one());
   EXPECT_EQ(fn.g, expect) << fn.g.to_string(fn.pool);
-}
-
-TEST(MasseyOmura, SharedLiftBasisMismatchIsRejected) {
-  const Gf2k field = Gf2k::make(4);
-  const NormalBasis nb = NormalBasis::find(field);
-  const WordLift poly_lift(&field);  // polynomial basis
-  ExtractionOptions options;
-  options.basis = &nb.basis();
-  options.shared_lift = &poly_lift;
-  EXPECT_THROW(extract_word_function(make_massey_omura_multiplier(field, nb),
-                                     field, options),
-               std::invalid_argument);
 }
 
 TEST(NormalBasisUnit, NonNormalElementRejected) {

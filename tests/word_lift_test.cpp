@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/interpolation.h"
+#include "gf/normal_basis.h"
 #include "test_util.h"
 
 namespace gfa {
@@ -34,8 +35,44 @@ TEST_P(WordLiftTest, ExpansionRecoversBitsFromWordValue) {
   }
 }
 
+TEST_P(WordLiftTest, MatrixInvertsTheFrobeniusMatrix) {
+  // C·M = I exactly: Σ_j C[i][j]·b_l^{2^j} = δ_il, for the polynomial basis
+  // and for a normal basis.
+  const Gf2k field = Gf2k::make(GetParam());
+  const unsigned k = field.k();
+  std::vector<Gf2k::Elem> poly_basis;
+  for (unsigned i = 0; i < k; ++i)
+    poly_basis.push_back(field.alpha_pow(std::uint64_t{i}));
+  const NormalBasis nb = NormalBasis::find(field);
+  const std::vector<Gf2k::Elem>* bases[] = {&poly_basis, &nb.basis()};
+  for (const std::vector<Gf2k::Elem>* basis : bases) {
+    const WordLift lift(&field, basis);
+    for (unsigned l = 0; l < k; ++l) {
+      // Column l of M: b_l^{2^j} for j < k.
+      std::vector<Gf2k::Elem> column(k);
+      column[0] = (*basis)[l];
+      for (unsigned j = 1; j < k; ++j) column[j] = field.square(column[j - 1]);
+      for (unsigned i = 0; i < k; ++i) {
+        Gf2k::Elem dot = field.zero();
+        for (unsigned j = 0; j < k; ++j)
+          dot += field.mul(lift.matrix()[i][j], column[j]);
+        ASSERT_EQ(dot, i == l ? field.one() : field.zero())
+            << "k=" << k << (basis == &poly_basis ? " polynomial" : " normal")
+            << " basis, i=" << i << " l=" << l;
+      }
+    }
+  }
+}
+
+TEST(WordLiftBasis, DependentBasisIsRejected) {
+  const Gf2k field = Gf2k::make(4);
+  const std::vector<Gf2k::Elem> basis(4, field.one());
+  EXPECT_THROW((void)WordLift(&field, &basis), std::invalid_argument);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, WordLiftTest,
-                         ::testing::Values(2, 3, 4, 5, 8, 13, 16, 32));
+                         ::testing::Values(2, 3, 4, 5, 8, 13, 16, 32, 64,
+                                           163));
 
 class WordLiftSmall : public ::testing::Test {
  protected:
