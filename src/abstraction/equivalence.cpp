@@ -77,9 +77,8 @@ EquivalenceResult check_equivalence(const Netlist& spec, const Netlist& impl,
                                     const ExtractionOptions& options) {
   // Spec and impl are abstracted one after the other. Each extraction
   // parallelizes its lift transforms internally at full pool width; running
-  // the two concurrently instead would serialize all of that —
-  // parallel_invoke marks both callers as pool work, so every nested loop
-  // degrades — and caps the speedup at 2.
+  // the two on the pool instead would mark both callers as pool work, so
+  // every nested lift loop would degrade to serial (see parallel_for.h).
   WordFunction spec_fn = extract_word_function(spec, field, options);
   WordFunction impl_fn = extract_word_function(impl, field, options);
   GFA_COUNT("equivalence.checks", 1);

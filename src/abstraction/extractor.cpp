@@ -14,7 +14,6 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-#include "util/parallel_for.h"
 #include "worker/checkpoint.h"
 
 namespace gfa {
@@ -320,13 +319,11 @@ WordFunction extract_word_function_for(const Netlist& netlist, const Gf2k& field
 
 std::vector<WordFunction> extract_all_word_functions(
     const Netlist& netlist, const Gf2k& field, const ExtractionOptions& options) {
-  // Output words are independent; abstract them concurrently (each
-  // extraction builds its own rewriter, pool and lift).
-  const std::vector<const Word*> outs = output_words(netlist);
-  std::vector<WordFunction> out(outs.size());
-  parallel_for(outs.size(), [&](std::size_t i) {
-    out[i] = extract_for_word(netlist, field, outs[i], options);
-  }, options.control);
+  // Output words are abstracted in order; each extraction's lift uses the
+  // pool (the one level of parallelism, see parallel_for.h).
+  std::vector<WordFunction> out;
+  for (const Word* w : output_words(netlist))
+    out.push_back(extract_for_word(netlist, field, w, options));
   return out;
 }
 

@@ -59,10 +59,12 @@ struct ExtractionOptions {
   /// whose words are normal-basis coordinates (e.g. Massey–Omura multipliers).
   const std::vector<Gf2k::Elem>* basis = nullptr;
   /// Deadline/cancellation, checkpointed once per gate in the
-  /// backward-rewriting loop (on the calling thread, whatever the pool
-  /// width), inside the Frobenius lift, and per chunk of any internal
-  /// parallel_for. Expiry unwinds via StatusError; the try_* entry
-  /// points below convert it to a Status.
+  /// backward-rewriting loop, inside the basis change, and per chunk of the
+  /// lift's parallel_for loops. Everything but those lift loops runs on the
+  /// calling thread, whatever the pool width, including the output words of
+  /// extract_all_word_functions and the blocks of abstract_hierarchy.
+  /// Expiry unwinds via StatusError; the try_* entry points below convert
+  /// it to a Status.
   const ExecControl* control = nullptr;
   /// Periodic reduction-chain checkpointing (null = off; see above).
   const ExtractionCheckpoint* checkpoint = nullptr;

@@ -1,12 +1,8 @@
 #include "abstraction/hierarchy.h"
 
 #include <cassert>
-#include <optional>
 #include <stdexcept>
 #include <unordered_map>
-
-#include "util/parallel_for.h"
-#include "util/resource_budget.h"
 
 namespace gfa {
 
@@ -63,50 +59,17 @@ HierarchicalAbstraction abstract_hierarchy(const WordSignalGraph& graph,
 
   // A block netlist instantiated several times (e.g. the shared multiplier of
   // an Itoh–Tsujii chain) is abstracted once. The unique blocks (the Fig. 1
-  // blocks of a Montgomery multiplier) are mutually independent, so they are
-  // abstracted concurrently; each extraction's own parallel loops then use
-  // whatever width is left (nested loops degrade to serial).
-  std::vector<const Netlist*> unique_blocks;
+  // blocks of a Montgomery multiplier) are abstracted in order on the calling
+  // thread, each charging the run's budget directly; the parallelism lives in
+  // each block's lift (see parallel_for.h).
   std::unordered_map<const Netlist*, WordFunction> memo;
   for (const WordSignalGraph::Instance& inst : graph.instances) {
-    if (memo.emplace(inst.block, WordFunction{}).second)
-      unique_blocks.push_back(inst.block);
-  }
-  // When the run carries a memory budget, each concurrent block leases from
-  // a proportional slice of it so the blocks together cannot exceed the
-  // parent limit; the child peaks fold back into the parent afterwards so
-  // the run report still sees the hierarchy's high-water mark.
-  ResourceBudget* parent_budget = budget_of(options.control);
-  const std::size_t slice =
-      parent_budget != nullptr && parent_budget->limit_bytes() != 0 &&
-              unique_blocks.size() > 1
-          ? parent_budget->limit_bytes() / unique_blocks.size()
-          : 0;
-  std::vector<std::optional<ResourceBudget>> block_budgets(
-      unique_blocks.size());
-  std::vector<ExecControl> block_controls(unique_blocks.size());
-  std::vector<WordFunction> block_fns(unique_blocks.size());
-  parallel_for(unique_blocks.size(), [&](std::size_t i) {
-    ExtractionOptions o = options;
-    if (slice != 0) {
-      block_budgets[i].emplace(slice);
-      block_controls[i] = *options.control;
-      block_controls[i].budget = &*block_budgets[i];
-      o.control = &block_controls[i];
-    }
-    block_fns[i] = extract_word_function(*unique_blocks[i], field, o);
-  }, options.control);
-  if (slice != 0) {
-    std::size_t children_peak = 0;
-    for (const auto& b : block_budgets)
-      if (b) children_peak += b->peak_bytes();
-    parent_budget->fold_peak(children_peak);
-  }
-  for (std::size_t i = 0; i < unique_blocks.size(); ++i)
-    memo[unique_blocks[i]] = std::move(block_fns[i]);
-
-  for (const WordSignalGraph::Instance& inst : graph.instances) {
-    WordFunction fn = memo.at(inst.block);
+    auto memo_it = memo.find(inst.block);
+    if (memo_it == memo.end())
+      memo_it = memo.emplace(inst.block, extract_word_function(
+                                             *inst.block, field, options))
+                    .first;
+    WordFunction fn = memo_it->second;
 
     std::unordered_map<std::string, const MPoly*> bound;
     for (const auto& [block_word, sig] : inst.inputs) {

@@ -36,7 +36,8 @@ struct HierarchicalAbstraction {
   std::vector<std::pair<std::string, WordFunction>> blocks;  // per-block results
 };
 
-/// Abstracts every block, then composes along the graph.
+/// Abstracts each distinct block once, in instance order on the calling
+/// thread, and composes along the graph.
 HierarchicalAbstraction abstract_hierarchy(const WordSignalGraph& graph,
                                            const Gf2k& field,
                                            const ExtractionOptions& options = {});

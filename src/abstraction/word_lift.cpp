@@ -239,8 +239,8 @@ MPoly WordLift::lift_general(const BitPoly& r,
   std::vector<const BitPoly::TermMap::value_type*> terms;
   terms.reserve(r.terms().size());
   for (const auto& term : r.terms()) terms.push_back(&term);
-  const std::size_t chunks = std::min<std::size_t>(
-      std::max<unsigned>(parallel_available_width(), 1), terms.size());
+  const std::size_t chunks =
+      std::min<std::size_t>(parallel_thread_count(), terms.size());
   std::vector<MPoly> partial(chunks, MPoly(field_));
   parallel_for(chunks, [&](std::size_t chunk) {
     MPoly acc_sum(field_);

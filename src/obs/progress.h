@@ -10,8 +10,8 @@
 // (thousands per run at most), never inner loops, so the mutex inside
 // report_progress is uncontended noise.
 //
-// The sink callback may be invoked concurrently (extract_all_word_functions
-// runs words on the pool) and must be thread-safe; the installer
+// The sink callback may be invoked concurrently (the portfolio's --race mode
+// runs engine attempts on the pool) and must be thread-safe; the installer
 // (worker/harness.cpp's child telemetry) serializes pipe writes behind its
 // own mutex anyway.
 

@@ -18,8 +18,9 @@ namespace gfa {
 
 namespace {
 
-/// Set while the current thread is executing pool work (or a loop body on the
-/// caller's side); nested parallel_for calls then run serially.
+/// Set while the current thread is executing pooled work (a worker, or the
+/// caller inside a pooled loop); nested parallel_for calls then run serially.
+/// A serial loop does not set it, so it never starves the loops inside it.
 thread_local bool tls_in_parallel = false;
 
 /// set_parallel_thread_count() target. Non-zero beats GFA_THREADS so a
@@ -233,11 +234,6 @@ void set_parallel_thread_count(unsigned n) {
   if (g_pool_live.load(std::memory_order_acquire)) Pool::instance().resize(n);
 }
 
-unsigned parallel_available_width() {
-  if (tls_in_parallel) return 1;
-  return Pool::instance().thread_count();
-}
-
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   const ExecControl* control) {
   if (n == 0) return;
@@ -247,37 +243,20 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
   GFA_COUNT("parallel.items", n);
   if (serial) {
     GFA_COUNT("parallel.serial_loops", 1);
-    const bool was = tls_in_parallel;
-    tls_in_parallel = true;
-    try {
-      for (std::size_t i = 0; i < n; ++i) {
-        throw_if_stopped(control);
-        fn(i);
-      }
-    } catch (...) {
-      tls_in_parallel = was;
-      throw;
+    for (std::size_t i = 0; i < n; ++i) {
+      throw_if_stopped(control);
+      fn(i);
     }
-    tls_in_parallel = was;
     return;
   }
   GFA_COUNT("parallel.loops", 1);
   std::lock_guard<std::mutex> lock(pool.run_mutex, std::adopt_lock);
-  const bool was = tls_in_parallel;
-  tls_in_parallel = true;
-  try {
-    pool.run(n, fn, control);
-  } catch (...) {
-    tls_in_parallel = was;
-    throw;
-  }
-  tls_in_parallel = was;
-}
-
-void parallel_invoke(const std::function<void()>& a,
-                     const std::function<void()>& b,
-                     const ExecControl* control) {
-  parallel_for(2, [&](std::size_t i) { i == 0 ? a() : b(); }, control);
+  // Only a top-level caller gets here, so the flag was clear on entry.
+  struct Mark {
+    Mark() { tls_in_parallel = true; }
+    ~Mark() { tls_in_parallel = false; }
+  } mark;
+  pool.run(n, fn, control);
 }
 
 }  // namespace gfa

@@ -1,16 +1,21 @@
 #pragma once
 // Minimal shared thread pool for the embarrassingly parallel loops of the
-// abstraction pipeline (the O(k³) Cᵀ·Q·C transforms of the word lift,
-// per-output-word extraction, concurrent hierarchy blocks).
+// abstraction pipeline. The pipeline is parallel at one level only, the
+// innermost independent unit: the word lift's row and term loops (the O(k³)
+// Cᵀ·Q·C transforms). Everything above the lift (spec and impl, hierarchy
+// blocks, output words) runs in order on the calling thread, so those loops
+// always find the pool free. The other caller is the portfolio's --race mode.
 //
 // Semantics:
 //   * parallel_for(n, fn) runs fn(i) for every i in [0, n), blocking until
 //     all calls have finished. Work is claimed in chunks from a global pool
 //     and the calling thread participates, so progress never depends on a
 //     worker being free.
-//   * Nested calls (from inside a pool task) and calls while the pool is
+//   * Nested calls (from inside pooled work) and calls while the pool is
 //     busy degrade to serial execution on the calling thread — correct by
-//     construction, never deadlocking.
+//     construction, never deadlocking. A loop that runs serially (n == 1,
+//     width 1, pool busy) does not count as pooled work, so the loops nested
+//     inside it may still use the pool.
 //   * The first exception thrown by fn is captured and rethrown on the
 //     calling thread once the loop has drained.
 //   * An optional ExecControl is polled between chunks (and between serial
@@ -42,18 +47,8 @@ unsigned parallel_thread_count();
 /// inside a parallel loop body (it would deadlock on the loop it is part of).
 void set_parallel_thread_count(unsigned n);
 
-/// Number of threads a parallel_for launched *right now* would use: the pool
-/// width at top level, 1 when already inside pool work (nested loops degrade
-/// to serial). Sizing hint for per-thread work splits; not a reservation.
-unsigned parallel_available_width();
-
 /// Runs fn(i) for i in [0, n); see the header comment for guarantees.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   const ExecControl* control = nullptr);
-
-/// Runs a and b, potentially concurrently; rethrows the first exception.
-void parallel_invoke(const std::function<void()>& a,
-                     const std::function<void()>& b,
-                     const ExecControl* control = nullptr);
 
 }  // namespace gfa

@@ -81,17 +81,6 @@ class ResourceBudget {
   /// sane if an estimate shrank between charge and release.
   void release(BudgetSite site, std::size_t bytes) noexcept;
 
-  /// Raises the recorded peak to at least `bytes` without charging anything.
-  /// Used by a parent budget folding in the peaks of child budgets it sliced
-  /// itself into (hierarchical extraction), so reports over the parent still
-  /// see the run's true high-water mark.
-  void fold_peak(std::size_t bytes) noexcept {
-    std::size_t cur = peak_.load(std::memory_order_relaxed);
-    while (cur < bytes && !peak_.compare_exchange_weak(
-                              cur, bytes, std::memory_order_relaxed)) {
-    }
-  }
-
   std::size_t limit_bytes() const { return limit_; }
   std::size_t used_bytes() const {
     return used_.load(std::memory_order_relaxed);

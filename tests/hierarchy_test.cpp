@@ -4,7 +4,11 @@
 
 #include "circuit/mastrovito.h"
 #include "circuit/mutate.h"
+#include "obs/metrics.h"
 #include "test_util.h"
+#include "util/exec_control.h"
+#include "util/parallel_for.h"
+#include "util/resource_budget.h"
 
 namespace gfa {
 namespace {
@@ -98,6 +102,57 @@ TEST(Hierarchy, UndrivenSignalThrows) {
   graph.instances = {{&mul, "m", {{"A", "A"}, {"B", "GHOST"}}, "T"}};
   graph.output_signal = "T";
   EXPECT_THROW(abstract_hierarchy(graph, field), std::logic_error);
+}
+
+// Blocks are abstracted in order on the calling thread, so every lift loop
+// inside them gets the pool: none degrades to a serial loop.
+TEST(Hierarchy, BlocksLeaveThePoolToTheirLifts) {
+  const unsigned width_was = parallel_thread_count();
+  const bool metrics_was = obs::metrics_enabled();
+  set_parallel_thread_count(2);
+  obs::set_metrics_enabled(true);
+  const Gf2k field = Gf2k::make(16);
+  const MontgomeryHierarchy h = make_montgomery_hierarchy(field);
+  obs::Metric& serial = obs::Metrics::instance().counter("parallel.serial_loops");
+  obs::Metric& pooled = obs::Metrics::instance().counter("parallel.loops");
+  const std::uint64_t serial0 = serial.value(), pooled0 = pooled.value();
+  const HierarchicalAbstraction ha = abstract_montgomery(h, field);
+  const std::uint64_t serial_added = serial.value() - serial0;
+  const std::uint64_t pooled_added = pooled.value() - pooled0;
+  obs::set_metrics_enabled(metrics_was);
+  set_parallel_thread_count(width_was);
+  EXPECT_EQ(serial_added, 0u);
+  EXPECT_GT(pooled_added, 0u);
+  EXPECT_EQ(ha.composed.g,
+            MPoly::variable(&field, ha.composed.pool.id("A")) *
+                MPoly::variable(&field, ha.composed.pool.id("B")));
+}
+
+// Every block charges the run's memory budget directly.
+TEST(Hierarchy, BlocksChargeTheRunBudget) {
+  const Gf2k field = Gf2k::make(8);
+  const MontgomeryHierarchy h = make_montgomery_hierarchy(field);
+
+  ResourceBudget generous(std::size_t{1} << 30);
+  ExecControl control;
+  control.budget = &generous;
+  ExtractionOptions options;
+  options.control = &control;
+  const HierarchicalAbstraction ha = abstract_montgomery(h, field, options);
+  EXPECT_EQ(ha.composed.g,
+            MPoly::variable(&field, ha.composed.pool.id("A")) *
+                MPoly::variable(&field, ha.composed.pool.id("B")));
+  EXPECT_GT(generous.peak_bytes(), 0u);
+  EXPECT_EQ(generous.used_bytes(), 0u);  // every lease released
+
+  ResourceBudget tiny(64);
+  control.budget = &tiny;
+  try {
+    abstract_montgomery(h, field, options);
+    FAIL() << "expected StatusError";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status.code(), StatusCode::kResourceExhausted);
+  }
 }
 
 // Compares two word functions semantically on random points (across pools).

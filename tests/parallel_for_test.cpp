@@ -1,13 +1,16 @@
 // Tests for the shared thread pool (util/parallel_for.h): completeness,
-// nesting, exception propagation, and concurrent use through parallel_invoke.
+// nesting (only pooled work serializes the loops inside it), and exception
+// propagation.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/parallel_for.h"
 
 namespace gfa {
@@ -52,15 +55,6 @@ TEST(ParallelFor, PropagatesFirstException) {
   EXPECT_EQ(count.load(), 50);
 }
 
-TEST(ParallelInvoke, RunsBothAndPropagates) {
-  std::atomic<int> a{0}, b{0};
-  parallel_invoke([&] { a = 1; }, [&] { b = 2; });
-  EXPECT_EQ(a.load(), 1);
-  EXPECT_EQ(b.load(), 2);
-  EXPECT_THROW(parallel_invoke([] { throw std::logic_error("x"); }, [] {}),
-               std::logic_error);
-}
-
 TEST(ParallelFor, ThreadCountIsPositive) {
   EXPECT_GE(parallel_thread_count(), 1u);
 }
@@ -87,18 +81,58 @@ TEST(ParallelFor, SetThreadCountClampsToValidRange) {
   EXPECT_EQ(parallel_thread_count(), before);
 }
 
-TEST(ParallelFor, AvailableWidthIsOneInsideLoops) {
-  const unsigned before = parallel_thread_count();
-  set_parallel_thread_count(4);
-  EXPECT_EQ(parallel_available_width(), 4u);
-  std::atomic<unsigned> inner_width{99};
-  parallel_for(8, [&](std::size_t) {
-    inner_width.store(parallel_available_width());
+/// Pins the pool width and enables metrics for one test, restoring both.
+class ParallelForCounters : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    width_was_ = parallel_thread_count();
+    metrics_was_ = obs::metrics_enabled();
+    obs::set_metrics_enabled(true);
+  }
+  void TearDown() override {
+    obs::set_metrics_enabled(metrics_was_);
+    set_parallel_thread_count(width_was_);
+  }
+
+  static std::uint64_t counter(const char* name) {
+    return obs::Metrics::instance().counter(name).value();
+  }
+
+ private:
+  unsigned width_was_ = 1;
+  bool metrics_was_ = false;
+};
+
+// A one-item loop runs serially but is not pooled work, so a loop nested
+// inside it still gets the pool.
+TEST_F(ParallelForCounters, LoopInsideOneItemLoopUsesThePool) {
+  set_parallel_thread_count(2);
+  std::uint64_t pooled = 0, serial = 0;
+  std::atomic<int> count{0};
+  parallel_for(1, [&](std::size_t) {
+    const std::uint64_t loops0 = counter("parallel.loops");
+    const std::uint64_t serial0 = counter("parallel.serial_loops");
+    parallel_for(100, [&](std::size_t) { count.fetch_add(1); });
+    pooled = counter("parallel.loops") - loops0;
+    serial = counter("parallel.serial_loops") - serial0;
   });
-  EXPECT_EQ(inner_width.load(), 1u);
-  set_parallel_thread_count(1);
-  EXPECT_EQ(parallel_available_width(), 1u);
-  set_parallel_thread_count(before);
+  EXPECT_EQ(count.load(), 100);
+  EXPECT_EQ(pooled, 1u);
+  EXPECT_EQ(serial, 0u);
+}
+
+// Pooled work does serialize the loops nested inside it.
+TEST_F(ParallelForCounters, LoopInsidePooledLoopRunsSerially) {
+  set_parallel_thread_count(4);
+  const std::uint64_t loops0 = counter("parallel.loops");
+  const std::uint64_t serial0 = counter("parallel.serial_loops");
+  std::atomic<int> count{0};
+  parallel_for(8, [&](std::size_t) {
+    parallel_for(10, [&](std::size_t) { count.fetch_add(1); });
+  });
+  EXPECT_EQ(count.load(), 80);
+  EXPECT_EQ(counter("parallel.loops") - loops0, 1u);
+  EXPECT_EQ(counter("parallel.serial_loops") - serial0, 8u);
 }
 
 // With several indices throwing, the exception that propagates must be the
