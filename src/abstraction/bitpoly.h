@@ -16,8 +16,8 @@
 //
 // Monomials are PackedMono (two inline words with an arena spill, see
 // packed_mono.h) keyed into a flat open-addressing term map (term_map.h).
-// The word-level endgame (word_lift, equivalence) keeps the generic MPoly
-// ring with BigUint exponents.
+// The word-level lift (word_lift) keeps the generic MPoly ring with BigUint
+// exponents.
 
 #include <algorithm>
 #include <cstdint>

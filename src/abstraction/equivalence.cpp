@@ -50,6 +50,74 @@ std::string describe_difference(const Gf2k& field, const VarPool& pool,
   return out;
 }
 
+/// Renders a remainder monomial as A[i]·B[j] ("1" for the constant term);
+/// `names` are the input word names in sorted order, so key v is bit v % k
+/// of word names[v / k].
+std::string render_bits(const PackedMono& m,
+                        const std::vector<std::string>& names, unsigned k) {
+  if (m.empty()) return "1";
+  std::string out;
+  for (VarId v : m) {
+    if (!out.empty()) out += "·";
+    out += names[v / k] + "[" + std::to_string(v % k) + "]";
+  }
+  return out;
+}
+
+/// Merges the two sorted remainders. On a mismatch fills the result's
+/// difference and the witness of a minimum-degree monomial of the sum (the
+/// first one in monomial order, so the witness is deterministic).
+void match_remainders(const Gf2k& field, EquivalenceResult& res) {
+  std::vector<std::string> names = res.spec.input_words;
+  std::vector<std::string> impl_names = res.impl.input_words;
+  std::sort(names.begin(), names.end());
+  std::sort(impl_names.begin(), impl_names.end());
+  if (names != impl_names) {
+    res.difference = "input word names differ";
+    return;
+  }
+  const unsigned k = field.k();
+  const auto& a = res.spec.terms;
+  const auto& b = res.impl.terms;
+  const Gf2k::Elem zero = field.zero();
+  std::size_t differing = 0;
+  std::string shown;
+  const PackedMono* lowest = nullptr;
+  const auto note = [&](const PackedMono& m, const Gf2k::Elem& in_spec,
+                        const Gf2k::Elem& in_impl) {
+    if (differing < 4) {
+      if (differing > 0) shown += ", ";
+      shown += render_bits(m, names, k) + " [spec " + field.to_string(in_spec) +
+               " vs impl " + field.to_string(in_impl) + "]";
+    }
+    ++differing;
+    if (lowest == nullptr || m.size() < lowest->size()) lowest = &m;
+  };
+  std::size_t i = 0, j = 0;
+  while (i < a.size() || j < b.size()) {
+    if (j == b.size() || (i < a.size() && a[i].first < b[j].first)) {
+      note(a[i].first, a[i].second, zero);
+      ++i;
+    } else if (i == a.size() || b[j].first < a[i].first) {
+      note(b[j].first, zero, b[j].second);
+      ++j;
+    } else {
+      if (a[i].second != b[j].second)
+        note(a[i].first, a[i].second, b[j].second);
+      ++i;
+      ++j;
+    }
+  }
+  if (differing == 0) {
+    res.equivalent = true;
+    return;
+  }
+  res.difference = "coefficients differ on " + std::to_string(differing) +
+                   " monomial(s): " + shown + (differing > 4 ? "…" : "");
+  for (const std::string& name : names) res.witness[name] = zero;
+  for (VarId v : *lowest) res.witness[names[v / k]].set_coeff(v % k, true);
+}
+
 }  // namespace
 
 bool same_word_function(const WordFunction& f1, const WordFunction& f2,
@@ -75,18 +143,14 @@ bool same_word_function(const WordFunction& f1, const WordFunction& f2,
 EquivalenceResult check_equivalence(const Netlist& spec, const Netlist& impl,
                                     const Gf2k& field,
                                     const ExtractionOptions& options) {
-  // Spec and impl are abstracted one after the other. Each extraction
-  // parallelizes its lift transforms internally at full pool width; running
-  // the two on the pool instead would mark both callers as pool work, so
-  // every nested lift loop would degrade to serial (see parallel_for.h).
-  WordFunction spec_fn = extract_word_function(spec, field, options);
-  WordFunction impl_fn = extract_word_function(impl, field, options);
+  // Spec and impl are reduced one after the other on the calling thread.
+  EquivalenceResult res;
+  res.spec = extract_remainder(spec, field, options);
+  res.impl = extract_remainder(impl, field, options);
   GFA_COUNT("equivalence.checks", 1);
   const obs::TraceSpan match_span("coefficient_match", "abstraction");
-  std::string diff;
-  const bool eq = same_word_function(spec_fn, impl_fn, &diff);
-  return EquivalenceResult{eq, std::move(spec_fn), std::move(impl_fn),
-                           std::move(diff)};
+  match_remainders(field, res);
+  return res;
 }
 
 Result<EquivalenceResult> try_check_equivalence(

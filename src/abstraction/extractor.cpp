@@ -38,7 +38,7 @@ void report_phase(const char* phase, std::uint64_t step, std::uint64_t total,
   }
 }
 
-/// Resolved checkpoint plumbing for one extract_for_word call: the file this
+/// Resolved checkpoint plumbing for one remainder_for_word call: the file this
 /// (circuit, word) pair maps to, plus the saved state when resuming.
 struct CheckpointPlan {
   bool active = false;
@@ -137,9 +137,33 @@ void run_chain(BackwardRewriter& rw, const Netlist& netlist,
   }
 }
 
-WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
-                              const Word* out_word,
-                              const ExtractionOptions& options) {
+/// Rank of each input word's name in sorted name order, by declaration
+/// index: the word part of a remainder variable key (see Remainder).
+std::vector<unsigned> name_ranks(const std::vector<std::string>& names) {
+  std::vector<unsigned> order(names.size());
+  for (unsigned i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](unsigned x, unsigned y) { return names[x] < names[y]; });
+  std::vector<unsigned> rank(names.size());
+  for (unsigned r = 0; r < order.size(); ++r) rank[order[r]] = r;
+  return rank;
+}
+
+/// Throws unless the k basis elements are linearly independent over F_2: a
+/// dependent basis maps different output bit vectors to one word value, so
+/// equal remainders would no longer mean equal circuits.
+void require_independent_basis(const Gf2k& field,
+                               const std::vector<Gf2k::Elem>& basis) {
+  std::vector<Gf2Poly> rows;
+  rows.reserve(basis.size());
+  for (const Gf2k::Elem& b : basis) rows.push_back(field.reduce(b));
+  if (invert_gf2(std::move(rows), field.k()).empty())
+    throw std::invalid_argument("word basis is not linearly independent");
+}
+
+Remainder remainder_for_word(const Netlist& netlist, const Gf2k& field,
+                             const Word* out_word,
+                             const ExtractionOptions& options) {
   const obs::TraceSpan extract_span("extract_word", "abstraction");
   report_phase("extract_word", 0, 0, 0, options.control);
   const unsigned k = field.k();
@@ -149,18 +173,22 @@ WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
     throw std::invalid_argument("output word width != k");
   for (const Word* w : in_words)
     if (w->bits.size() != k) throw std::invalid_argument("input word width != k");
+  if (options.basis != nullptr) {
+    if (options.basis->size() != k)
+      throw std::invalid_argument("word basis must have k elements");
+    require_independent_basis(field, *options.basis);
+  }
 
   std::vector<bool> is_input(netlist.num_nets(), false);
   for (NetId n : netlist.inputs()) is_input[n] = true;
 
-  WordFunction result{VarPool{}, MPoly(&field), out_word->name, {}, {}};
+  Remainder result;
+  result.output_word = out_word->name;
 
   // Step 1: r := Σ_j α^j · z_j, i.e. Spoly(f_w, f_g) ->+ r realized as
   // backward rewriting of the word-output combination.
   std::vector<bool> substitutable(netlist.num_nets());
   for (NetId n = 0; n < netlist.num_nets(); ++n) substitutable[n] = !is_input[n];
-  if (options.basis != nullptr && options.basis->size() != k)
-    throw std::invalid_argument("word basis must have k elements");
   auto basis_elem = [&](unsigned j) {
     return options.basis != nullptr ? (*options.basis)[j]
                                     : field.alpha_pow(std::uint64_t{j});
@@ -234,76 +262,96 @@ WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
   GFA_COUNT("reduction_steps", stats.substitutions);
   GFA_GAUGE_MAX("extract.peak_terms", stats.peak_terms);
 
-  // The remainder now mentions only primary-input bits.
+  // The remainder now mentions only primary-input bits. Key each bit by
+  // (rank of its word's name, bit index) and sort the terms.
+  for (const Word* w : in_words) result.input_words.push_back(w->name);
+  const std::vector<unsigned> rank = name_ranks(result.input_words);
+  std::vector<VarId> net_to_key(netlist.num_nets(), UINT32_MAX);
+  for (std::size_t w = 0; w < in_words.size(); ++w)
+    for (unsigned i = 0; i < k; ++i)
+      net_to_key[in_words[w]->bits[i]] = rank[w] * k + i;
+
   const BackwardRewriter::TermMap& remainder = chain.terms();
   stats.remainder_terms = remainder.size();
-  bool any_bits = false;
+  result.terms.reserve(remainder.size());
+  std::vector<VarId> keys;
   for (const auto& [m, c] : remainder) {
     stats.remainder_degree = std::max(stats.remainder_degree, m.size());
-    if (!m.empty()) any_bits = true;
-    for ([[maybe_unused]] VarId v : m)
-      assert(is_input[v] && "non-input variable survived the reduction");
-  }
-  stats.case1 = !any_bits;
-
-  // Build the public variable pool: input bit variables then word variables.
-  std::vector<WordLift::WordBinding> bindings;
-  bindings.reserve(in_words.size());
-  std::vector<VarId> net_to_var(netlist.num_nets(), UINT32_MAX);
-  for (const Word* w : in_words) {
-    WordLift::WordBinding b;
-    b.bit_vars.reserve(w->bits.size());
-    for (NetId bit : w->bits) {
-      const VarId v =
-          result.pool.intern(netlist.gate(bit).name, VarKind::kBit);
-      net_to_var[bit] = v;
-      b.bit_vars.push_back(v);
-    }
-    b.word_var = result.pool.intern(w->name, VarKind::kWord);
-    bindings.push_back(std::move(b));
-    result.input_words.push_back(w->name);
-  }
-
-  // Remap the remainder onto pool variable ids.
-  BitPoly r(&field);
-  r.reserve(remainder.size());
-  std::vector<VarId> mapped;
-  for (const auto& [m, c] : remainder) {
-    mapped.clear();
-    mapped.reserve(m.size());
+    keys.clear();
     for (VarId v : m) {
-      if (net_to_var[v] == UINT32_MAX)
+      assert(is_input[v] && "non-input variable survived the reduction");
+      if (net_to_key[v] == UINT32_MAX)
         throw std::invalid_argument(
             "primary input '" + netlist.gate(v).name + "' is not part of any word");
-      mapped.push_back(net_to_var[v]);
+      keys.push_back(net_to_key[v]);
     }
-    std::sort(mapped.begin(), mapped.end());
-    r.add_term(BitMono::from_sorted(mapped.data(), mapped.size()), c);
+    std::sort(keys.begin(), keys.end());
+    result.terms.emplace_back(PackedMono::from_sorted(keys.data(), keys.size()),
+                              c);
   }
-
-  // Step 2: the Case-2 lift (a no-op beyond copying constants for Case 1).
-  const obs::TraceSpan lift_span("case2_lift", "abstraction");
-  report_phase("case2_lift", 0, 0, r.num_terms(), options.control);
-  if (stats.case1) {
-    result.g = MPoly::constant(&field, r.coeff(BitMono{}));
-  } else {
-    const WordLift lift(&field, options.basis, options.control);
-    result.g = lift.lift(r, bindings, result.pool, options.control);
-  }
+  std::sort(result.terms.begin(), result.terms.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  stats.case1 = stats.remainder_degree == 0;
   result.stats = stats;
   return result;
 }
 
 }  // namespace
 
-WordFunction extract_word_function(const Netlist& netlist, const Gf2k& field,
-                                   const ExtractionOptions& options) {
+Remainder extract_remainder(const Netlist& netlist, const Gf2k& field,
+                            const ExtractionOptions& options) {
   const std::vector<const Word*> outs = output_words(netlist);
   if (outs.size() != 1)
     throw std::invalid_argument(
         outs.empty() ? "no output word declared"
                      : "several output words; use extract_word_function_for");
-  return extract_for_word(netlist, field, outs[0], options);
+  return remainder_for_word(netlist, field, outs[0], options);
+}
+
+WordFunction lift_remainder(const Remainder& r, const Gf2k& field,
+                            const ExtractionOptions& options) {
+  const obs::TraceSpan lift_span("case2_lift", "abstraction");
+  report_phase("case2_lift", 0, 0, r.terms.size(), options.control);
+  const unsigned k = field.k();
+  WordFunction result{VarPool{}, MPoly(&field), r.output_word, r.input_words,
+                      r.stats};
+
+  // Bind each word's bits by their remainder keys. The pool still interns one
+  // bit variable per bit ahead of each word, in declaration order, so the
+  // word variables' ids (and the printed term order of g) do not depend on
+  // how the remainder keys its bits.
+  const std::vector<unsigned> rank = name_ranks(r.input_words);
+  std::vector<WordLift::WordBinding> bindings;
+  bindings.reserve(r.input_words.size());
+  for (std::size_t w = 0; w < r.input_words.size(); ++w) {
+    const std::string& name = r.input_words[w];
+    WordLift::WordBinding b;
+    b.bit_vars.reserve(k);
+    for (unsigned i = 0; i < k; ++i) {
+      result.pool.intern(name + "[" + std::to_string(i) + "]", VarKind::kBit);
+      b.bit_vars.push_back(rank[w] * k + i);
+    }
+    b.word_var = result.pool.intern(name, VarKind::kWord);
+    bindings.push_back(std::move(b));
+  }
+
+  // Case 1 (no input bits) is the constant term alone.
+  if (r.stats.case1) {
+    if (!r.terms.empty()) result.g = MPoly::constant(&field, r.terms[0].second);
+    return result;
+  }
+  BitPoly bits(&field);
+  bits.reserve(r.terms.size());
+  for (const auto& [m, c] : r.terms) bits.add_term(m, c);
+  const WordLift lift(&field, options.basis, options.control);
+  result.g = lift.lift(bits, bindings, result.pool, options.control);
+  return result;
+}
+
+WordFunction extract_word_function(const Netlist& netlist, const Gf2k& field,
+                                   const ExtractionOptions& options) {
+  return lift_remainder(extract_remainder(netlist, field, options), field,
+                        options);
 }
 
 WordFunction extract_word_function_for(const Netlist& netlist, const Gf2k& field,
@@ -311,7 +359,8 @@ WordFunction extract_word_function_for(const Netlist& netlist, const Gf2k& field
                                        const ExtractionOptions& options) {
   for (const Word* w : output_words(netlist)) {
     if (w->name == output_word_name)
-      return extract_for_word(netlist, field, w, options);
+      return lift_remainder(remainder_for_word(netlist, field, w, options),
+                            field, options);
   }
   throw std::invalid_argument("no output word named '" +
                               std::string(output_word_name) + "'");
@@ -323,7 +372,8 @@ std::vector<WordFunction> extract_all_word_functions(
   // pool (the one level of parallelism, see parallel_for.h).
   std::vector<WordFunction> out;
   for (const Word* w : output_words(netlist))
-    out.push_back(extract_for_word(netlist, field, w, options));
+    out.push_back(lift_remainder(remainder_for_word(netlist, field, w, options),
+                                 field, options));
   return out;
 }
 

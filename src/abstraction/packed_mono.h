@@ -22,9 +22,10 @@
 // forms, and the inline fast paths stay branch-light.
 //
 // The representation is the monomial of BitPoly (bitpoly.h): the
-// circuit-variable phase (rewriter chain, extractor, hierarchy) runs entirely
-// on PackedMono keys; the word-level BigUint-exponent endgame (word_lift,
-// equivalence) stays on the generic MPoly ring.
+// circuit-variable phase (rewriter chain, extractor, hierarchy) and the
+// remainder comparison of check_equivalence run entirely on PackedMono keys;
+// the word-level BigUint-exponent lift (word_lift) stays on the generic MPoly
+// ring.
 
 #include <cstddef>
 #include <cstdint>

@@ -2,10 +2,13 @@
 // Verdict certification: every answer the engine layer produces is made
 // self-checking (DESIGN.md "Verdict certification").
 //
-//  * kNotEquivalent must come with a witness. The abstraction engine finds
-//    one by Schwartz–Zippel sampling of the two canonical word polynomials;
-//    SAT/BDD/fraig hand over their satisfying assignments; anything else
-//    falls back to random (exhaustive for small inputs) simulation search.
+//  * kNotEquivalent must come with a witness. The abstraction engine reads
+//    one off the two bit-level remainders (the bits of a minimum-degree
+//    monomial of their sum, see abstraction/equivalence.h); the service's
+//    cache hits, which hold word polynomials, use Schwartz–Zippel sampling
+//    (find_word_function_witness); SAT/BDD/fraig hand over their satisfying
+//    assignments; anything else falls back to random (exhaustive for small
+//    inputs) simulation search.
 //    Either way the witness is replayed through the bit-parallel simulator —
 //    a code path independent of every proof engine — before it is reported.
 //  * kEquivalent is cross-checked (opt-in via RunOptions::certify): N×64

@@ -138,7 +138,7 @@ struct VerifyResult {
   std::string detail;
   /// Typed witness for kNotEquivalent: the distinguishing input as field
   /// elements, replayed through the bit-parallel simulator. Engines with a
-  /// native witness (abstraction's Schwartz–Zippel point, SAT/BDD/fraig
+  /// native witness (abstraction's minimum-monomial point, SAT/BDD/fraig
   /// models) fill it directly; run_engine() backfills the rest by
   /// simulation search. Empty otherwise.
   certify::Counterexample counterexample;

@@ -73,8 +73,9 @@ void attach_bit_witness(VerifyResult& out, const Netlist& spec,
 }
 
 // ---------------------------------------------------------------------------
-// abstraction — the paper's flow: RATO-guided reduction + Frobenius lift,
-// then coefficient matching of the two canonical polynomials.
+// abstraction — the paper's flow: RATO-guided reduction of both circuits,
+// then coefficient matching of the two bit-level remainders (see
+// abstraction/equivalence.h); a mismatch replays the remainder witness.
 
 class AbstractionEngine final : public EquivEngine {
  public:
@@ -106,22 +107,21 @@ class AbstractionEngine final : public EquivEngine {
     if (!r.ok()) return r.status();
     VerifyResult out;
     if (options.export_canonical) {
-      out.canonical_spec = encode_canon_form(r->spec);
-      out.canonical_impl = encode_canon_form(r->impl);
+      // The service caches word polynomials: lift the remainders in hand
+      // rather than running the chains again.
+      try {
+        out.canonical_spec =
+            encode_canon_form(lift_remainder(r->spec, field, eo));
+        out.canonical_impl =
+            encode_canon_form(lift_remainder(r->impl, field, eo));
+      } catch (...) {
+        return status_from_current_exception();
+      }
     }
     out.verdict =
         r->equivalent ? Verdict::kEquivalent : Verdict::kNotEquivalent;
     out.detail = r->difference;
-    if (out.verdict == Verdict::kNotEquivalent) {
-      // Schwartz–Zippel on the two canonical polynomials: they differ as
-      // functions, so a random point separates them with high probability.
-      try {
-        if (const auto w =
-                certify::find_word_function_witness(r->spec, r->impl, field))
-          attach_witness(out, spec, impl, field, *w);
-      } catch (...) {
-      }
-    }
+    if (!r->witness.empty()) attach_witness(out, spec, impl, field, r->witness);
     out.resumed = r->spec.stats.resumed || r->impl.stats.resumed;
     out.stats["spec_substitutions"] =
         static_cast<double>(r->spec.stats.substitutions);
