@@ -251,6 +251,7 @@ Remainder remainder_for_word(const Netlist& netlist, const Gf2k& field,
                    options.control);
     }
     stats.peak_terms = chain.peak_terms();
+    stats.expansions = chain.expansions();
   } catch (const RewriteBudgetExceeded& e) {
     throw ExtractionBudgetExceeded(e.what());
   }
@@ -259,6 +260,7 @@ Remainder remainder_for_word(const Netlist& netlist, const Gf2k& field,
   if (ckpt.active) worker::remove_checkpoint(ckpt.path);
   GFA_COUNT("extract.words", 1);
   GFA_COUNT("extract.substitutions", stats.substitutions);
+  GFA_COUNT("extract.expansions", stats.expansions);
   GFA_COUNT("reduction_steps", stats.substitutions);
   GFA_GAUGE_MAX("extract.peak_terms", stats.peak_terms);
 

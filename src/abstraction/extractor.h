@@ -79,6 +79,7 @@ struct ExtractionOptions {
 
 struct ExtractionStats {
   std::size_t substitutions = 0;     // gate tails substituted
+  std::size_t expansions = 0;        // terms erased and re-expanded by them
   std::size_t peak_terms = 0;        // largest intermediate polynomial
   std::size_t remainder_terms = 0;   // |R| before the word lift
   std::size_t remainder_degree = 0;  // largest monomial (bit count) in R

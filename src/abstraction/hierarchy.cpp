@@ -82,6 +82,7 @@ HierarchicalAbstraction abstract_hierarchy(const WordSignalGraph& graph,
     MPoly g = apply_signal_map(fn.g, fn.pool, bound, field, composed.pool);
 
     composed.stats.substitutions += fn.stats.substitutions;
+    composed.stats.expansions += fn.stats.expansions;
     composed.stats.peak_terms =
         std::max(composed.stats.peak_terms, fn.stats.peak_terms);
     result.blocks.emplace_back(inst.name, std::move(fn));

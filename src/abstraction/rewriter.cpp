@@ -56,6 +56,7 @@ void BackwardRewriter::substitute(VarId v, const FlatTail& tail) {
       if (live) __builtin_prefetch(it->second.words().data(), 1, 1);
       if (pi + 1 < np) stage(pending[pi + 1]);
       if (!live) continue;  // cancelled since registration
+      ++expansions_;
       Gf2k::Elem coeff = std::move(it->second);
       spill_bytes_ -= it->first.spill_bytes();
       terms_.erase(it);
@@ -76,6 +77,7 @@ void BackwardRewriter::substitute(VarId v, const FlatTail& tail) {
     occ_bytes_ = occ_bytes_ > b ? occ_bytes_ - b : 0;
     auto it = terms_.find(mono);
     if (it == terms_.end()) continue;  // cancelled since registration
+    ++expansions_;
     Gf2k::Elem coeff = std::move(it->second);
     spill_bytes_ -= it->first.spill_bytes();
     terms_.erase(it);

@@ -136,6 +136,10 @@ class BackwardRewriter {
   /// Largest term-map size seen so far (sampled after every insertion).
   std::size_t peak_terms() const { return peak_terms_; }
 
+  /// Terms substitute() has erased and re-expanded so far: the chain's unit
+  /// of work (one per live occurrence of a substituted variable).
+  std::size_t expansions() const { return expansions_; }
+
   /// Registered (possibly stale) occurrence-index entries for v.
   std::size_t occurrences(VarId v) const { return occurs_[v].size(); }
 
@@ -230,6 +234,7 @@ class BackwardRewriter {
   std::size_t spill_bytes_ = 0;  // arena bytes owned by keys in terms_
   std::size_t budget_ops_ = 0;   // mutation counter for the sync cadence
   std::size_t peak_terms_ = 0;   // high-water mark of terms_.size()
+  std::size_t expansions_ = 0;   // live terms erased by substitute()
   std::vector<Gf2k::Elem> elem_pool_;  // recycled coefficient buffers
   BudgetLease lease_;            // releases everything on destruction
 };

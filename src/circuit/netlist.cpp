@@ -42,10 +42,36 @@ NetId Netlist::new_net(GateType type, std::vector<NetId> fanins,
   const NetId id = static_cast<NetId>(gates_.size());
   std::string net_name =
       name.empty() ? "n" + std::to_string(id) : std::string(name);
-  assert(by_name_.find(net_name) == by_name_.end() && "duplicate net name");
-  by_name_.emplace(net_name, id);
+  assert(find_net(net_name) == kNoNet && "duplicate net name");
+  reserve_names(gates_.size() + 1);
   gates_.push_back(Gate{type, std::move(fanins), std::move(net_name)});
+  place_name(id);
   return id;
+}
+
+namespace {
+
+std::size_t name_hash(std::string_view name) {
+  return std::hash<std::string_view>{}(name);
+}
+
+}  // namespace
+
+void Netlist::reserve_names(std::size_t nets) {
+  std::size_t cap = 16;
+  while (cap < 2 * nets) cap *= 2;
+  if (cap <= name_slots_.size()) return;
+  // Re-placing in id order keeps the first of two same-named nets first on
+  // its probe path, so find_net keeps answering the earlier one.
+  name_slots_.assign(cap, kNoNet);
+  for (NetId n = 0; n < gates_.size(); ++n) place_name(n);
+}
+
+void Netlist::place_name(NetId id) {
+  const std::size_t mask = name_slots_.size() - 1;
+  std::size_t i = name_hash(gates_[id].name) & mask;
+  while (name_slots_[i] != kNoNet) i = (i + 1) & mask;
+  name_slots_[i] = id;
 }
 
 NetId Netlist::add_input(std::string_view name) {
@@ -54,15 +80,20 @@ NetId Netlist::add_input(std::string_view name) {
   return id;
 }
 
-NetId Netlist::add_gate(GateType type, const std::vector<NetId>& fanins,
+NetId Netlist::add_gate(GateType type, std::vector<NetId> fanins,
                         std::string_view name) {
   assert(type != GateType::kInput && "use add_input");
   for (NetId f : fanins) assert(f < gates_.size() && "fanin does not exist");
-  return new_net(type, fanins, name);
+  return new_net(type, std::move(fanins), name);
 }
 
 NetId Netlist::add_const(bool value, std::string_view name) {
   return new_net(value ? GateType::kConst1 : GateType::kConst0, {}, name);
+}
+
+void Netlist::reserve(std::size_t nets) {
+  gates_.reserve(nets);
+  reserve_names(nets);
 }
 
 void Netlist::mark_output(NetId net) {
@@ -81,8 +112,12 @@ std::size_t Netlist::num_logic_gates() const {
 }
 
 NetId Netlist::find_net(std::string_view name) const {
-  auto it = by_name_.find(std::string(name));
-  return it == by_name_.end() ? kNoNet : it->second;
+  if (name_slots_.empty()) return kNoNet;
+  const std::size_t mask = name_slots_.size() - 1;
+  for (std::size_t i = name_hash(name) & mask;; i = (i + 1) & mask) {
+    const NetId id = name_slots_[i];
+    if (id == kNoNet || gates_[id].name == name) return id;
+  }
 }
 
 void Netlist::declare_word(std::string_view name, std::vector<NetId> bits) {

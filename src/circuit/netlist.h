@@ -12,7 +12,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace gfa {
@@ -59,14 +58,18 @@ class Netlist {
   /// Creates a primary input net.
   NetId add_input(std::string_view name);
 
-  /// Creates a gate driving a fresh net. Fanins must already exist.
-  NetId add_gate(GateType type, const std::vector<NetId>& fanins,
+  /// Creates a gate driving a fresh net. Fanins must already exist; an
+  /// rvalue fanin vector moves into the gate.
+  NetId add_gate(GateType type, std::vector<NetId> fanins,
                  std::string_view name = {});
 
   NetId add_const(bool value, std::string_view name = {});
 
   /// Marks an existing net as a primary output (order of calls = output order).
   void mark_output(NetId net);
+
+  /// Sizes the net storage and the name index for `nets` nets.
+  void reserve(std::size_t nets);
 
   std::size_t num_nets() const { return gates_.size(); }
   const Gate& gate(NetId n) const { return gates_[n]; }
@@ -107,8 +110,13 @@ class Netlist {
   std::vector<NetId> inputs_;
   std::vector<NetId> outputs_;
   std::vector<Word> words_;
-  std::unordered_map<std::string, NetId> by_name_;
+  // The name index: open addressing over net ids (kNoNet = empty slot),
+  // probed linearly from the hash of gates_[id].name and kept at most half
+  // full. It stores no strings and allocates no node per net.
+  std::vector<NetId> name_slots_;
   NetId new_net(GateType type, std::vector<NetId> fanins, std::string_view name);
+  void reserve_names(std::size_t nets);  // room for `nets` names
+  void place_name(NetId id);
 };
 
 }  // namespace gfa

@@ -16,6 +16,17 @@
 // Gate lines are "<type> <output-net> <fanin...>" with types from
 // gate_type_name (buf/not take one fanin, const0/const1 none, the rest two or
 // more). Gates may appear in any order; the netlist is re-topologized on use.
+// A net is defined once, and a word name is declared once.
+//
+// The reader makes one pass over the text. Tokens are string_views into it;
+// each net name is interned once into an open-addressed table of dense
+// uint32_t ids, and each definition is stored as {type, name id, line,
+// fanin range} over one flat array of fanin ids. No name is looked up by
+// string after the pass: an explicit-stack DFS over the ids emits the nets
+// fanins-first, in declaration order of the roots (so the same text always
+// yields the same NetIds), and resolves outputs and word bits by id. Errors
+// carry the line they concern: a net used but never defined reports the
+// first gate that reads it in emission order, a word bit its `word` line.
 
 #include <stdexcept>
 #include <string>

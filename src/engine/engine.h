@@ -152,7 +152,7 @@ struct VerifyResult {
   bool resumed = false;
   /// Serialized canonical forms (abstraction/canon_serial.h), filled only by
   /// the abstraction engine when RunOptions::export_canonical is set. Empty
-  /// otherwise.
+  /// otherwise, and both empty when the export failed (the verdict stands).
   std::string canonical_spec;
   std::string canonical_impl;
 };

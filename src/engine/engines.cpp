@@ -106,22 +106,25 @@ class AbstractionEngine final : public EquivEngine {
     Result<EquivalenceResult> r = try_check_equivalence(spec, impl, field, eo);
     if (!r.ok()) return r.status();
     VerifyResult out;
-    if (options.export_canonical) {
-      // The service caches word polynomials: lift the remainders in hand
-      // rather than running the chains again.
-      try {
-        out.canonical_spec =
-            encode_canon_form(lift_remainder(r->spec, field, eo));
-        out.canonical_impl =
-            encode_canon_form(lift_remainder(r->impl, field, eo));
-      } catch (...) {
-        return status_from_current_exception();
-      }
-    }
     out.verdict =
         r->equivalent ? Verdict::kEquivalent : Verdict::kNotEquivalent;
     out.detail = r->difference;
     if (!r->witness.empty()) attach_witness(out, spec, impl, field, r->witness);
+    if (options.export_canonical) {
+      // The service caches word polynomials: lift the remainders in hand
+      // rather than running the chains again. The lift is not part of the
+      // verdict, so when it fails (deadline, budget) the verdict stands and
+      // both forms stay empty, which the service reads as "do not cache".
+      try {
+        std::string spec_form =
+            encode_canon_form(lift_remainder(r->spec, field, eo));
+        std::string impl_form =
+            encode_canon_form(lift_remainder(r->impl, field, eo));
+        out.canonical_spec = std::move(spec_form);
+        out.canonical_impl = std::move(impl_form);
+      } catch (...) {
+      }
+    }
     out.resumed = r->spec.stats.resumed || r->impl.stats.resumed;
     out.stats["spec_substitutions"] =
         static_cast<double>(r->spec.stats.substitutions);

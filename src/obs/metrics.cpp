@@ -40,6 +40,7 @@ constexpr KnownMetric kKnownMetrics[] = {
     // Extractor (abstraction/extractor.cpp)
     {"extract.words", MetricKind::kCounter},
     {"extract.substitutions", MetricKind::kCounter},
+    {"extract.expansions", MetricKind::kCounter},
     {"extract.peak_terms", MetricKind::kGauge},
     // Canonical-form equivalence (abstraction/equivalence.cpp)
     {"equivalence.checks", MetricKind::kCounter},

@@ -14,6 +14,7 @@
 #include "circuit/mastrovito.h"
 #include "circuit/montgomery.h"
 #include "circuit/mutate.h"
+#include "circuit/parser.h"
 #include "engine/registry.h"
 #include "engine/report.h"
 #include "util/json_reader.h"
@@ -203,6 +204,29 @@ TEST(EngineDeadlines, MillisecondDeadlineStopsEveryEngineAt163) {
     EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
         << engine->name() << ": " << r.status().to_string();
   }
+}
+
+// The canonical export lifts both remainders after the verdict is known. A
+// non-bilinear mutant's lift runs far past a 2 s deadline; that failure
+// must leave the verdict and its replayed witness in place, with no forms.
+TEST(EngineDeadlines, FailedCanonicalExportKeepsTheVerdict) {
+  const Gf2k field = Gf2k::make(16);
+  const Netlist spec = make_mastrovito_multiplier(field);
+  // Written and re-read, as `gfa_tool mutate` sees it.
+  const Netlist impl = inject_random_bug(
+      parse_netlist(write_netlist(make_montgomery_multiplier_flat(field))), 1);
+  RunOptions options;
+  options.export_canonical = true;
+  options.control.deadline = Deadline::after(2.0);
+  const Result<VerifyResult> r =
+      EngineRegistry::global().find("abstraction")->verify(spec, impl, field,
+                                                           options);
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_EQ(r->verdict, Verdict::kNotEquivalent);
+  EXPECT_FALSE(r->counterexample.empty());
+  EXPECT_TRUE(r->counterexample.replayed);
+  EXPECT_TRUE(r->canonical_spec.empty());
+  EXPECT_TRUE(r->canonical_impl.empty());
 }
 
 TEST(EngineDeadlines, CancellationWinsAndStopsEveryEngineAt163) {

@@ -43,6 +43,20 @@ TEST(Extractor, Fig2MultiplierYieldsZEqualsAB) {
   EXPECT_EQ(fn.input_words, (std::vector<std::string>{"A", "B"}));
   EXPECT_FALSE(fn.stats.case1);
   EXPECT_EQ(fn.stats.substitutions, 7u);
+  EXPECT_EQ(fn.stats.expansions, 7u);  // every substituted net sits in one term
+}
+
+// Expansions count the chain's work: on the Mastrovito tree each gate output
+// occurs in exactly one live term when it is substituted, while the flat
+// Montgomery's shared subexpressions make some of them occur in several.
+TEST(Extractor, ExpansionsCountTheChainWork) {
+  const Gf2k field = Gf2k::make(16);
+  const Remainder mastrovito =
+      extract_remainder(make_mastrovito_multiplier(field), field);
+  EXPECT_EQ(mastrovito.stats.expansions, mastrovito.stats.substitutions);
+  const Remainder montgomery =
+      extract_remainder(make_montgomery_multiplier_flat(field), field);
+  EXPECT_GT(montgomery.stats.expansions, montgomery.stats.substitutions);
 }
 
 TEST(Extractor, PaperExample51BuggyPolynomial) {

@@ -12,9 +12,11 @@
 // Any outcome is acceptable EXCEPT a crash, a sanitizer report, or an
 // uncaught exception escaping the try_ wrappers: those APIs promise a Status
 // for arbitrary input. Successfully parsed netlists are additionally
-// round-tripped (write → reparse) and validated, which is what caught the
+// validated and round-tripped (write → reparse), which is what caught the
 // recursion and overflow bugs this harness exists to guard (see DESIGN.md
-// "Robustness & fault tolerance").
+// "Robustness & fault tolerance"). A reparsed netlist must have the same
+// structure as the first parse: module name, every net's type and fanins by
+// name, inputs, outputs and words.
 //
 // Exit code: 0 when the run completes, 2 on the first contract violation.
 // The PRNG is xorshift64 seeded from --seed, so every failure reproduces
@@ -206,9 +208,38 @@ std::string gen_garbage(Rng& rng) {
   return text;
 }
 
+/// The first structural difference between a netlist and its reparse, or
+/// "". Net ids may differ (the writer emits in topological order), so nets
+/// are matched by name.
+std::string structure_difference(const Netlist& a, const Netlist& b) {
+  if (a.name() != b.name()) return "module name";
+  if (a.num_nets() != b.num_nets()) return "net count";
+  const auto names = [](const Netlist& nl, const std::vector<NetId>& ids) {
+    std::vector<std::string> out;
+    for (NetId n : ids) out.push_back(nl.gate(n).name);
+    return out;
+  };
+  for (NetId n = 0; n < a.num_nets(); ++n) {
+    const Netlist::Gate& ga = a.gate(n);
+    const NetId m = b.find_net(ga.name);
+    if (m == kNoNet) return "net '" + ga.name + "' lost";
+    const Netlist::Gate& gb = b.gate(m);
+    if (ga.type != gb.type || names(a, ga.fanins) != names(b, gb.fanins))
+      return "net '" + ga.name + "' changed";
+  }
+  if (names(a, a.inputs()) != names(b, b.inputs())) return "inputs";
+  if (names(a, a.outputs()) != names(b, b.outputs())) return "outputs";
+  if (a.words().size() != b.words().size()) return "word count";
+  for (std::size_t w = 0; w < a.words().size(); ++w)
+    if (a.words()[w].name != b.words()[w].name ||
+        names(a, a.words()[w].bits) != names(b, b.words()[w].bits))
+      return "word '" + a.words()[w].name + "'";
+  return {};
+}
+
 /// One input through one parser. Returns false on a contract violation
-/// (the try_ API let an exception escape, or a parsed netlist fails its own
-/// round-trip/validate).
+/// (the try_ API let an exception escape, or a parsed netlist fails
+/// validate() or its write → reparse round trip).
 bool drive_netlist(const std::string& text) {
   Result<Netlist> parsed = try_parse_netlist(text);
   if (!parsed.ok()) return true;  // a clean Status for bad input is the point
@@ -222,6 +253,11 @@ bool drive_netlist(const std::string& text) {
   if (!again.ok()) {
     std::fprintf(stderr, "round-trip reparse failed: %s\n",
                  again.status().to_string().c_str());
+    return false;
+  }
+  if (const std::string diff = structure_difference(*parsed, *again);
+      !diff.empty()) {
+    std::fprintf(stderr, "round trip changed the netlist: %s\n", diff.c_str());
     return false;
   }
   return true;
